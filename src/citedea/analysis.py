@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -10,18 +11,7 @@ import numpy as np
 
 from .corpus import DmuAggregate, ResearcherProfile, aggregate
 from .dea import DEFAULT_EPSILON, DmuSet, ccr_all
-from .indices import (
-    PenaltyParams,
-    a_index,
-    g_index,
-    h_index,
-    individual_h,
-    r_index,
-    scientific_impact,
-    scientific_impact_penalized,
-    t_index,
-    t_index_thresholded,
-)
+from .indices import IndexName, PenaltyParams, compute_indices
 
 
 class AnalysisError(ValueError):
@@ -65,7 +55,8 @@ class MetricReport:
     """Per-researcher metric columns plus rankings and rank correlations.
 
     ``metrics`` fixes the column order; ``columns`` maps each metric to its
-    values aligned with ``ids``; ``rankings`` covers the rankable metrics.
+    values aligned with ``ids``; ``rankings`` covers the rankable metrics,
+    in the order correlation pairs are formed.
     """
 
     ids: tuple[str, ...]
@@ -85,14 +76,15 @@ def rank(scores: Sequence[tuple[str, float]], higher_is_better: bool = True) -> 
     values = [float(value) for _, value in scores]
     if any(math.isnan(value) for value in values):
         raise AnalysisError("cannot rank NaN scores")
-    entries = []
-    for (researcher, _), value in zip(scores, values):
-        if higher_is_better:
-            better = sum(1 for other in values if other > value)
-        else:
-            better = sum(1 for other in values if other < value)
-        entries.append(RankEntry(id=str(researcher), score=value, rank=1 + better))
-    return Ranking(entries=tuple(entries))
+    # negation is exact, so "better" is "smaller key" in both directions
+    sign = -1.0 if higher_is_better else 1.0
+    keys = sorted(sign * value for value in values)
+    return Ranking(
+        entries=tuple(
+            RankEntry(id=str(researcher), score=value, rank=1 + bisect_left(keys, sign * value))
+            for (researcher, _), value in zip(scores, values)
+        )
+    )
 
 
 def rank_correlation(ranks_a: Ranking, ranks_b: Ranking) -> float:
@@ -114,21 +106,9 @@ def rank_correlation(ranks_a: Ranking, ranks_b: Ranking) -> float:
 
 
 _RAW_COLUMNS = ("years", "coauthors", "citations")
-_METRIC_ORDER = (
-    "h",
-    "g",
-    "a",
-    "r",
-    "individual_h",
-    "si",
-    "si_penalized",
-    "t",
-    "t_thresholded",
-    "dea",
-)
+_METRIC_ORDER = tuple(name.value for name in IndexName) + ("dea",)
 # rankable metrics, in the order correlation pairs are formed
 _RANKED_ORDER = ("t", "dea", "h", "g", "a", "r")
-_PER_PAPER_ONLY = set(_METRIC_ORDER) - {"dea"}
 
 
 def build_report(
@@ -154,7 +134,6 @@ def build_report(
         raise AnalysisError("provide exactly one of profiles or aggregates")
     if profiles is not None and h_scores is not None:
         raise AnalysisError("h_scores applies only to aggregate input")
-    penalty = PenaltyParams() if penalty is None else penalty
 
     if profiles is not None:
         aggregates = [aggregate(profile) for profile in profiles]
@@ -166,21 +145,11 @@ def build_report(
         "citations": [float(item.citations) for item in aggregates],
     }
     if profiles is not None:
-        for name in _METRIC_ORDER[:-1]:
-            available[name] = []
-        for profile in profiles:
-            citations = [record.citations for record in profile.papers]
-            available["h"].append(float(h_index(citations)))
-            available["g"].append(float(g_index(citations)))
-            available["a"].append(a_index(citations))
-            available["r"].append(r_index(citations))
-            available["individual_h"].append(individual_h(profile.papers))
-            available["si"].append(scientific_impact(profile.papers))
-            available["si_penalized"].append(
-                scientific_impact_penalized(profile.papers, penalty)
-            )
-            available["t"].append(t_index(profile))
-            available["t_thresholded"].append(t_index_thresholded(profile, c_star))
+        table = [
+            compute_indices(profile, c_star=c_star, penalty=penalty) for profile in profiles
+        ]
+        for column in zip(*table):
+            available[column[0].name.value] = [item.value for item in column]
     elif h_scores is not None:
         missing = [label for label in ids if label not in h_scores]
         if missing:

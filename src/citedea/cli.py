@@ -19,44 +19,24 @@ from .corpus import (
     parse_profiles,
 )
 from .dea import DEFAULT_EPSILON, DeaError, DmuSet, ccr_all, frontier
-from .indices import (
-    PenaltyParams,
-    a_index,
-    compute_indices,
-    g_index,
-    h_index,
-    individual_h,
-    r_index,
-    scientific_impact,
-    scientific_impact_penalized,
-)
+from .indices import PenaltyParams, compute_indices, paper_indices
 
 _INT_COLUMNS = {"years", "coauthors", "citations", "h", "g"}
-_RANKED_ORDER = ("t", "dea", "h", "g", "a", "r")
 
 
 def _is_int_column(name: str) -> bool:
     return name in _INT_COLUMNS or name.endswith("_rank")
 
 
-def _table_cell(name: str, value) -> str:
+def _cell(name: str, value, float_format: str) -> str:
+    """Render one cell; floats use ``float_format`` ("" is the shortest round-trip form)."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, str):
         return value
     if _is_int_column(name):
         return str(int(value))
-    return f"{float(value):.3f}"
-
-
-def _csv_cell(name: str, value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    if _is_int_column(name):
-        return str(int(value))
-    return repr(float(value))
+    return format(float(value), float_format)
 
 
 def _json_value(name: str, value):
@@ -70,7 +50,7 @@ def _json_value(name: str, value):
 def _render_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     cells = [list(headers)]
     for row in rows:
-        cells.append([_table_cell(name, value) for name, value in zip(headers, row)])
+        cells.append([_cell(name, value, ".3f") for name, value in zip(headers, row)])
     widths = [max(len(line[column]) for line in cells) for column in range(len(headers))]
     lines = []
     for line in cells:
@@ -85,9 +65,7 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 def _render_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     lines = [",".join(headers)]
     for row in rows:
-        lines.append(
-            ",".join(_csv_cell(name, value) for name, value in zip(headers, row))
-        )
+        lines.append(",".join(_cell(name, value, "") for name, value in zip(headers, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -123,32 +101,20 @@ def _penalty(options) -> PenaltyParams:
 def _cmd_indices(options) -> str:
     papers_text = Path(options.papers).read_text()
     penalty = _penalty(options)
-    rows = []
     if options.profiles is not None:
-        headers = [
-            "id", "h", "g", "a", "r", "individual_h",
-            "si", "si_penalized", "t", "t_thresholded",
+        table = [
+            (profile.id, compute_indices(profile, c_star=options.c_star, penalty=penalty))
+            for profile in parse_profiles(Path(options.profiles).read_text(), papers_text)
         ]
-        for profile in parse_profiles(Path(options.profiles).read_text(), papers_text):
-            values = compute_indices(profile, c_star=options.c_star, penalty=penalty)
-            rows.append([profile.id] + [item.value for item in values])
     else:
         # without career years only the per-list indices are computable
-        headers = ["id", "h", "g", "a", "r", "individual_h", "si", "si_penalized"]
-        for researcher, papers in parse_papers(papers_text).items():
-            citations = [record.citations for record in papers]
-            rows.append(
-                [
-                    researcher,
-                    float(h_index(citations)),
-                    float(g_index(citations)),
-                    a_index(citations),
-                    r_index(citations),
-                    individual_h(papers),
-                    scientific_impact(papers),
-                    scientific_impact_penalized(papers, penalty),
-                ]
-            )
+        table = [
+            (researcher, paper_indices(papers, penalty=penalty))
+            for researcher, papers in parse_papers(papers_text).items()
+        ]
+    # the parsers reject empty input, so the table has a first row to name the columns
+    headers = ["id"] + [item.name.value for item in table[0][1]]
+    rows = [[label] + [item.value for item in values] for label, values in table]
     return _emit(headers, rows, options.format)
 
 
@@ -202,14 +168,11 @@ def _report(options) -> MetricReport:
 
 
 def _rank_columns(report: MetricReport) -> tuple[list[str], list[list]]:
-    ranked = [name for name in _RANKED_ORDER if name in report.rankings]
-    by_id = {
-        name: {entry.id: entry.rank for entry in report.rankings[name].entries}
-        for name in ranked
-    }
-    headers = [f"{name}_rank" for name in ranked]
+    # rankings are built in rank order, each with its entries in report.ids order
+    headers = [f"{name}_rank" for name in report.rankings]
     rows = [
-        [by_id[name][researcher] for name in ranked] for researcher in report.ids
+        [ranking.entries[position].rank for ranking in report.rankings.values()]
+        for position in range(len(report.ids))
     ]
     return headers, rows
 
@@ -299,7 +262,7 @@ def _cmd_report(options) -> str:
         # correlations ride along as comment rows so the table still parses
         text = _render_csv(headers, rows)
         for pair in correlation_rows:
-            text += "# correlation," + ",".join(_csv_cell("", cell) for cell in pair) + "\n"
+            text += "# correlation," + ",".join(_cell("", cell, "") for cell in pair) + "\n"
         return text
     text = _render_table(headers, rows)
     text += "\ncorrelations:\n"
@@ -449,7 +412,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _validate(options, parser)
         output = options.handler(options)
-    except (CorpusError, DeaError, AnalysisError, OSError) as error:
+    except (CorpusError, DeaError, AnalysisError, OSError, ArithmeticError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     sys.stdout.write(output)

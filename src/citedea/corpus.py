@@ -74,7 +74,9 @@ class DmuAggregate:
 
 
 def _read_text(source: str | TextIO) -> str:
-    return source.read() if hasattr(source, "read") else source
+    text = source.read() if hasattr(source, "read") else source
+    # a UTF-8 byte order mark would otherwise glue itself to the first cell
+    return text.removeprefix("\ufeff")
 
 
 def _data_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -135,6 +137,18 @@ def _int_field(name: str, number: int, column: str, value: str) -> int:
         ) from None
 
 
+def _paper_rows(source: str | TextIO) -> Iterator[tuple[int, str, PaperRecord]]:
+    """Yield (line number, researcher id, record) for each ``id,citations,authors`` row."""
+    for number, row in _parse_rows(source, ("id", "citations", "authors"), "papers"):
+        citations = _int_field("papers", number, "citations", row["citations"])
+        authors = _int_field("papers", number, "authors", row["authors"])
+        try:
+            record = PaperRecord(citations=citations, authors=authors)
+        except ValueError as error:
+            raise CorpusError(f"papers line {number}: {error}") from None
+        yield number, row["id"], record
+
+
 def parse_papers(source: str | TextIO) -> dict[str, tuple[PaperRecord, ...]]:
     """Parse an ``id,citations,authors`` stream, grouping papers by researcher.
 
@@ -142,17 +156,8 @@ def parse_papers(source: str | TextIO) -> dict[str, tuple[PaperRecord, ...]]:
     keep their file order.
     """
     groups: dict[str, list[PaperRecord]] = {}
-    for number, row in _parse_rows(source, ("id", "citations", "authors"), "papers"):
-        try:
-            record = PaperRecord(
-                citations=_int_field("papers", number, "citations", row["citations"]),
-                authors=_int_field("papers", number, "authors", row["authors"]),
-            )
-        except CorpusError:
-            raise
-        except ValueError as error:
-            raise CorpusError(f"papers line {number}: {error}") from None
-        groups.setdefault(row["id"], []).append(record)
+    for _, researcher, record in _paper_rows(source):
+        groups.setdefault(researcher, []).append(record)
     return {researcher: tuple(records) for researcher, records in groups.items()}
 
 
@@ -180,21 +185,11 @@ def parse_profiles(
         )
         declared_at[researcher] = number
     papers: dict[str, list[PaperRecord]] = {researcher: [] for researcher in years}
-    for number, row in _parse_rows(papers_source, ("id", "citations", "authors"), "papers"):
-        researcher = row["id"]
+    for number, researcher, record in _paper_rows(papers_source):
         if researcher not in years:
             raise CorpusError(
                 f"papers line {number}: unknown researcher id {researcher!r}"
             )
-        try:
-            record = PaperRecord(
-                citations=_int_field("papers", number, "citations", row["citations"]),
-                authors=_int_field("papers", number, "authors", row["authors"]),
-            )
-        except CorpusError:
-            raise
-        except ValueError as error:
-            raise CorpusError(f"papers line {number}: {error}") from None
         papers[researcher].append(record)
     profiles = []
     for researcher, career_years in years.items():
@@ -226,21 +221,16 @@ def parse_aggregates(source: str | TextIO) -> list[DmuAggregate]:
                 f"aggregates line {number}: duplicate researcher id {researcher!r}"
             )
         seen.add(researcher)
+        years, coauthors, citations = (
+            _int_field("aggregates", number, column, row[column])
+            for column in ("years", "coauthors", "citations")
+        )
         try:
             aggregates.append(
                 DmuAggregate(
-                    id=researcher,
-                    years=_int_field("aggregates", number, "years", row["years"]),
-                    coauthors=_int_field(
-                        "aggregates", number, "coauthors", row["coauthors"]
-                    ),
-                    citations=_int_field(
-                        "aggregates", number, "citations", row["citations"]
-                    ),
+                    id=researcher, years=years, coauthors=coauthors, citations=citations
                 )
             )
-        except CorpusError:
-            raise
         except ValueError as error:
             raise CorpusError(f"aggregates line {number}: {error}") from None
     return aggregates

@@ -140,6 +140,24 @@ def t_index_thresholded(profile: ResearcherProfile, c_star: int) -> float:
     return scientific_impact(qualifying) / profile.career_years
 
 
+def paper_indices(
+    papers: Sequence[PaperRecord], *, penalty: PenaltyParams | None = None
+) -> tuple[IndexValue, ...]:
+    """The indices a paper list alone determines, in IndexName declaration order."""
+    penalty = PenaltyParams() if penalty is None else penalty
+    # sorted once here, so each function's own sort is a linear pass
+    citations = sorted((record.citations for record in papers), reverse=True)
+    return (
+        IndexValue(IndexName.H, float(h_index(citations))),
+        IndexValue(IndexName.G, float(g_index(citations))),
+        IndexValue(IndexName.A, a_index(citations)),
+        IndexValue(IndexName.R, r_index(citations)),
+        IndexValue(IndexName.INDIVIDUAL_H, individual_h(papers)),
+        IndexValue(IndexName.SI, scientific_impact(papers)),
+        IndexValue(IndexName.SI_PENALIZED, scientific_impact_penalized(papers, penalty)),
+    )
+
+
 def compute_indices(
     profile: ResearcherProfile,
     *,
@@ -147,16 +165,7 @@ def compute_indices(
     penalty: PenaltyParams | None = None,
 ) -> tuple[IndexValue, ...]:
     """Every index for one researcher, in IndexName declaration order."""
-    penalty = PenaltyParams() if penalty is None else penalty
-    citations = [record.citations for record in profile.papers]
-    return (
-        IndexValue(IndexName.H, float(h_index(citations))),
-        IndexValue(IndexName.G, float(g_index(citations))),
-        IndexValue(IndexName.A, a_index(citations)),
-        IndexValue(IndexName.R, r_index(citations)),
-        IndexValue(IndexName.INDIVIDUAL_H, individual_h(profile.papers)),
-        IndexValue(IndexName.SI, scientific_impact(profile.papers)),
-        IndexValue(IndexName.SI_PENALIZED, scientific_impact_penalized(profile.papers, penalty)),
+    return paper_indices(profile.papers, penalty=penalty) + (
         IndexValue(IndexName.T, t_index(profile)),
         IndexValue(IndexName.T_THRESHOLDED, t_index_thresholded(profile, c_star)),
     )

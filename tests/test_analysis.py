@@ -57,12 +57,15 @@ class TestRank:
     def test_single_entry(self):
         assert ranks_of(rank([("a", 42.0)])) == [1]
 
-    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=30))
-    def test_rank_counts_strictly_better_scores(self, values):
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=30), st.booleans())
+    def test_rank_counts_strictly_better_scores(self, values, higher_is_better):
         scores = [(f"r{i}", float(v)) for i, v in enumerate(values)]
-        ranking = rank(scores)
+        ranking = rank(scores, higher_is_better=higher_is_better)
         for entry in ranking.entries:
-            better = sum(1 for v in values if v > entry.score)
+            if higher_is_better:
+                better = sum(1 for v in values if v > entry.score)
+            else:
+                better = sum(1 for v in values if v < entry.score)
             assert entry.rank == 1 + better
         assert min(ranks_of(ranking)) == 1
         assert max(ranks_of(ranking)) <= len(values)

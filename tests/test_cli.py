@@ -95,6 +95,37 @@ class TestIndicesCommand:
         assert err.startswith("error:")
         assert "no records" in err
 
+    @pytest.mark.parametrize(
+        "profiles, expected",
+        [
+            (
+                None,
+                "id,h,g,a,r,individual_h,si,si_penalized\n"
+                "A1,4,5,6.75,5.196152422706632,2.0,16.833333333333336,30.0\n"
+                "A2,2,3,15.0,5.477225575051661,1.3333333333333333,20.0,30.0\n"
+                "A3,1,1,7.0,2.6457513110645907,0.14285714285714285,1.0,7.0\n"
+                "A4,2,3,35.0,8.366600265340756,1.3333333333333333,40.2,71.0\n",
+            ),
+            (
+                PROFILES,
+                "id,h,g,a,r,individual_h,si,si_penalized,t,t_thresholded\n"
+                "A1,4,5,6.75,5.196152422706632,2.0,16.833333333333336,30.0,"
+                "4.208333333333334,4.208333333333334\n"
+                "A2,2,3,15.0,5.477225575051661,1.3333333333333333,20.0,30.0,2.0,2.0\n"
+                "A3,1,1,7.0,2.6457513110645907,0.14285714285714285,1.0,7.0,1.0,1.0\n"
+                "A4,2,3,35.0,8.366600265340756,1.3333333333333333,40.2,71.0,6.7,6.7\n",
+            ),
+        ],
+        ids=["papers", "papers_and_profiles"],
+    )
+    def test_csv_output_is_exact(self, capsys, profiles, expected):
+        argv = ["indices", "--papers", PAPERS, "--format", "csv"]
+        if profiles is not None:
+            argv += ["--profiles", profiles]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == expected
+
 
 class TestDeaCommand:
     def test_scores_against_reference(self, capsys):
@@ -325,3 +356,13 @@ class TestDataErrors:
         code, _, err = run(capsys, "dea", "--aggregates", str(bad))
         assert code == 1
         assert "line 2" in err
+
+    def test_solver_iteration_limit_is_a_data_error(self, capsys, monkeypatch):
+        def capped(program):
+            raise ArithmeticError("simplex iteration limit reached")
+
+        monkeypatch.setattr("citedea.dea.solve_lp", capped)
+        code, out, err = run(capsys, "dea", "--aggregates", AGGREGATES)
+        assert code == 1
+        assert out == ""
+        assert err == "error: simplex iteration limit reached\n"

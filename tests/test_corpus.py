@@ -177,6 +177,10 @@ class TestParseAggregates:
         with pytest.raises(CorpusError, match="expected 5 columns"):
             parse_aggregates("id,years,coauthors,citations,extra\nR1,40,350,5977\n")
 
+    def test_leading_byte_order_mark_is_dropped(self):
+        parsed = parse_aggregates("\ufeffid,years,coauthors,citations\na,1,1,5\n")
+        assert parsed == [DmuAggregate(id="a", years=1, coauthors=1, citations=5)]
+
 
 class TestParseHValues:
     def test_mapping(self, h_values15):
