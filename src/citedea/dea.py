@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import DmuAggregate
-from .lp import FEASIBILITY_TOL, Constraint, LinearProgram, LpStatus, Relation, solve_lp
+from .lp import FEASIBILITY_TOL, LinearProgram, LpStatus, Relation, solve_lp
 
 DEFAULT_EPSILON = 1e-6
 
@@ -84,7 +84,11 @@ class DmuSet:
 
 @dataclass(frozen=True)
 class EfficiencyScore:
-    """One DMU's efficiency with the weights that achieve it."""
+    """One DMU's efficiency with the weights that achieve it.
+
+    A DMU with no positive output scores exactly 0: its objective is 0 for
+    every choice of weights.
+    """
 
     dmu_id: str
     score: float
@@ -92,8 +96,8 @@ class EfficiencyScore:
     output_weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.score <= 1.0 + FEASIBILITY_TOL:
-            raise ValueError(f"score must lie in (0, 1], got {self.score!r}")
+        if not 0.0 <= self.score <= 1.0 + FEASIBILITY_TOL:
+            raise ValueError(f"score must lie in [0, 1], got {self.score!r}")
 
 
 def _epsilon_bounds(epsilon: float | Sequence[float], count: int) -> tuple[float, ...]:
@@ -126,29 +130,14 @@ def build_ccr_lp(
         raise DeaError(
             f"target_index {target_index} out of range for {dmus.size} DMUs"
         )
-    outputs = dmus.outputs
-    inputs = dmus.inputs
     s = dmus.output_count
     m = dmus.input_count
-    objective = tuple(outputs[target_index]) + (0.0,) * m
-    constraints = [
-        Constraint(
-            coefficients=(0.0,) * s + tuple(inputs[target_index]),
-            relation=Relation.EQ,
-            rhs=1.0,
-        )
-    ]
-    for row in range(dmus.size):
-        constraints.append(
-            Constraint(
-                coefficients=tuple(outputs[row]) + tuple(-inputs[row]),
-                relation=Relation.LE,
-                rhs=0.0,
-            )
-        )
+    normalization = np.concatenate([np.zeros(s), dmus.inputs[target_index]])
     return LinearProgram(
-        objective=objective,
-        constraints=tuple(constraints),
+        objective=np.concatenate([dmus.outputs[target_index], np.zeros(m)]),
+        constraints=np.vstack([normalization, np.hstack([dmus.outputs, -dmus.inputs])]),
+        senses=(Relation.EQ,) + (Relation.LE,) * dmus.size,
+        rhs=np.concatenate([[1.0], np.zeros(dmus.size)]),
         lower_bounds=_epsilon_bounds(epsilon, s + m),
     )
 
@@ -157,14 +146,9 @@ def ccr_efficiency(
     dmus: DmuSet, target_index: int, epsilon: float | Sequence[float] = DEFAULT_EPSILON
 ) -> EfficiencyScore:
     """Solve the target DMU's program and return its efficiency and weights."""
-    if not 0 <= target_index < dmus.size:
-        raise DeaError(
-            f"target_index {target_index} out of range for {dmus.size} DMUs"
-        )
+    program = build_ccr_lp(dmus, target_index, epsilon)
     label = dmus.ids[target_index]
-    if not np.any(dmus.outputs[target_index] > 0):
-        raise DeaError(f"DMU {label!r} has no positive output; efficiency is undefined")
-    solution = solve_lp(build_ccr_lp(dmus, target_index, epsilon))
+    solution = solve_lp(program)
     if solution.status is LpStatus.INFEASIBLE:
         raise DeaError(
             f"no feasible weights for DMU {label!r} with epsilon {epsilon!r}; "
@@ -212,17 +196,9 @@ def frontier(dmus: DmuSet) -> list[str]:
                 f"DMU {dmus.ids[index]!r} has no output; its per-output point is undefined"
             )
     points = dmus.inputs / output[:, None]
-    keep = []
-    for index in range(dmus.size):
-        dominated = False
-        for other in range(dmus.size):
-            if other == index:
-                continue
-            if np.all(points[other] <= points[index]) and np.any(
-                points[other] < points[index]
-            ):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(dmus.ids[index])
-    return keep
+    # a point never strictly beats itself, so it need not be left out
+    return [
+        label
+        for label, point in zip(dmus.ids, points)
+        if not np.any(np.all(points <= point, axis=1) & np.any(points < point, axis=1))
+    ]

@@ -165,7 +165,10 @@ def compute_indices(
     penalty: PenaltyParams | None = None,
 ) -> tuple[IndexValue, ...]:
     """Every index for one researcher, in IndexName declaration order."""
-    return paper_indices(profile.papers, penalty=penalty) + (
-        IndexValue(IndexName.T, t_index(profile)),
+    values = paper_indices(profile.papers, penalty=penalty)
+    # t_index is the si value over the career years; reuse the sum
+    si = next(value.value for value in values if value.name is IndexName.SI)
+    return values + (
+        IndexValue(IndexName.T, si / profile.career_years),
         IndexValue(IndexName.T_THRESHOLDED, t_index_thresholded(profile, c_star)),
     )

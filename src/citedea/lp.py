@@ -1,9 +1,9 @@
 """A small deterministic two-phase simplex solver for dense maximization programs.
 
-The solver targets the tiny programs produced by the efficiency module (tens
-of variables and constraints at most), so it favors robustness over speed:
-Bland's rule guards against cycling and makes every run of the same program
-pivot identically.
+The solver targets the programs produced by the efficiency module: a few
+weight variables and one row per DMU plus the normalization row.  It favors
+robustness over speed: Bland's rule guards against cycling and makes every
+run of the same program pivot identically.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -33,49 +32,38 @@ class LpStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """coefficients . x  (relation)  rhs"""
-
-    coefficients: tuple[float, ...]
-    relation: Relation
-    rhs: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coefficients", tuple(float(c) for c in self.coefficients)
-        )
-        object.__setattr__(self, "relation", Relation(self.relation))
-        object.__setattr__(self, "rhs", float(self.rhs))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """Maximize objective . x subject to constraints and x >= lower_bounds."""
+    """Maximize objective . x subject to constraints @ x (senses) rhs and x >= lower_bounds.
 
-    objective: tuple[float, ...]
-    constraints: tuple[Constraint, ...]
-    lower_bounds: tuple[float, ...]
+    ``constraints`` is the coefficient matrix with one row per entry of
+    ``senses`` and ``rhs``.  The arrays are stored as read-only float copies.
+    """
+
+    objective: np.ndarray
+    constraints: np.ndarray
+    senses: tuple[Relation, ...]
+    rhs: np.ndarray
+    lower_bounds: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "objective", tuple(float(c) for c in self.objective))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        object.__setattr__(
-            self, "lower_bounds", tuple(float(b) for b in self.lower_bounds)
-        )
-        size = len(self.objective)
+        size = np.size(self.objective)
         if size == 0:
             raise ValueError("objective must cover at least one variable")
-        if len(self.lower_bounds) != size:
-            raise ValueError(
-                f"lower_bounds has {len(self.lower_bounds)} entries, expected {size}"
-            )
-        for position, constraint in enumerate(self.constraints):
-            if len(constraint.coefficients) != size:
-                raise ValueError(
-                    f"constraint {position} has {len(constraint.coefficients)} "
-                    f"coefficients, expected {size}"
-                )
+        senses = tuple(Relation(sense) for sense in self.senses)
+        object.__setattr__(self, "senses", senses)
+        shapes = {
+            "objective": (size,),
+            "constraints": (len(senses), size),
+            "rhs": (len(senses),),
+            "lower_bounds": (size,),
+        }
+        for name, shape in shapes.items():
+            array = np.array(getattr(self, name), dtype=float)
+            if array.shape != shape:
+                raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def variable_count(self) -> int:
@@ -89,13 +77,6 @@ class LpSolution:
     status: LpStatus
     objective_value: float
     variable_values: tuple[float, ...]
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status is LpStatus.OPTIMAL
-
-
-_FLIP = {Relation.LE: Relation.GE, Relation.GE: Relation.LE, Relation.EQ: Relation.EQ}
 
 
 def _pivot(
@@ -151,17 +132,6 @@ def _optimize(
     raise ArithmeticError("simplex iteration limit reached; program is ill conditioned")
 
 
-def _reduced_row(
-    tableau: np.ndarray, basis: np.ndarray, costs: np.ndarray
-) -> np.ndarray:
-    """Objective row with the basic columns priced out; last cell is the value."""
-    row = np.concatenate([-costs, [0.0]])
-    for position, column in enumerate(basis):
-        if row[column] != 0.0:
-            row -= row[column] * tableau[position]
-    return row
-
-
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve a maximization program with a two-phase dense simplex.
 
@@ -170,86 +140,66 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     phase one.  The result is deterministic for identical input.
     """
     size = lp.variable_count
-    shift = np.asarray(lp.lower_bounds, dtype=float)
+    shift = lp.lower_bounds
+    # one dot per row: a single matrix-vector product may sum in another order
+    rhs = lp.rhs - np.array([row @ shift for row in lp.constraints])
+    flip = rhs < 0
+    le = np.array([sense is Relation.LE for sense in lp.senses], dtype=bool)
+    ge = np.array([sense is Relation.GE for sense in lp.senses], dtype=bool)
+    le, ge = np.where(flip, ge, le), np.where(flip, le, ge)
+    artificial = ~le
 
-    rows: list[np.ndarray] = []
-    senses: list[Relation] = []
-    rhs: list[float] = []
-    for constraint in lp.constraints:
-        coefficients = np.asarray(constraint.coefficients, dtype=float)
-        value = constraint.rhs - float(coefficients @ shift)
-        relation = constraint.relation
-        if value < 0:
-            coefficients = -coefficients
-            value = -value
-            relation = _FLIP[relation]
-        rows.append(coefficients)
-        senses.append(relation)
-        rhs.append(value)
+    # columns: the variables, a slack per inequality row, an artificial per
+    # row that is not <=, then the right hand side
+    first_artificial = size + int(np.count_nonzero(le | ge))
+    total = first_artificial + int(np.count_nonzero(artificial))
+    slack_column = size + np.cumsum(le | ge) - 1
+    artificial_column = first_artificial + np.cumsum(artificial) - 1
+    tableau = np.zeros((len(rhs), total + 1))
+    tableau[:, :size] = np.where(flip[:, None], -lp.constraints, lp.constraints)
+    tableau[:, -1] = np.where(flip, -rhs, rhs)
+    tableau[le, slack_column[le]] = 1.0
+    tableau[ge, slack_column[ge]] = -1.0
+    tableau[artificial, artificial_column[artificial]] = 1.0
+    basis = np.where(le, slack_column, artificial_column)
 
-    count = len(rows)
-    slack_count = sum(1 for sense in senses if sense is not Relation.EQ)
-    artificial_count = sum(1 for sense in senses if sense is not Relation.LE)
-    total = size + slack_count + artificial_count
-    tableau = np.zeros((count, total + 1))
-    basis = np.zeros(count, dtype=int)
-    next_slack = size
-    next_artificial = size + slack_count
-    for position in range(count):
-        tableau[position, :size] = rows[position]
-        tableau[position, -1] = rhs[position]
-        sense = senses[position]
-        if sense is Relation.LE:
-            tableau[position, next_slack] = 1.0
-            basis[position] = next_slack
-            next_slack += 1
-        else:
-            if sense is Relation.GE:
-                tableau[position, next_slack] = -1.0
-                next_slack += 1
-            tableau[position, next_artificial] = 1.0
-            basis[position] = next_artificial
-            next_artificial += 1
-
-    first_artificial = size + slack_count
-    if artificial_count:
-        costs = np.zeros(total)
-        costs[first_artificial:] = -1.0
-        phase_one = _reduced_row(tableau, basis, costs)
+    if artificial.any():
+        # phase one maximizes minus the sum of the artificials; its reduced
+        # row is that cost row less each artificial's basic row, in row order
+        phase_one = np.zeros(total + 1)
+        phase_one[first_artificial:total] = 1.0
+        for row in tableau[artificial]:
+            phase_one -= row
         _optimize(tableau, phase_one, basis)
         if phase_one[-1] < -FEASIBILITY_TOL:
             return LpSolution(LpStatus.INFEASIBLE, math.nan, ())
         # pivot leftover artificials out of the basis; rows that offer no
         # pivot are redundant restatements of other rows and are dropped
-        drop: list[int] = []
-        for position in range(count):
-            if basis[position] >= first_artificial:
-                column = -1
-                for candidate in range(first_artificial):
-                    if abs(tableau[position, candidate]) > PIVOT_TOL:
-                        column = candidate
-                        break
-                if column >= 0:
-                    _pivot(tableau, basis, position, column)
-                else:
-                    drop.append(position)
-        if drop:
-            tableau = np.delete(tableau, drop, axis=0)
-            basis = np.delete(basis, drop)
-        tableau = np.delete(
-            tableau, np.s_[first_artificial : first_artificial + artificial_count], axis=1
-        )
+        drop = []
+        for position in np.flatnonzero(basis >= first_artificial):
+            candidates = np.flatnonzero(
+                np.abs(tableau[position, :first_artificial]) > PIVOT_TOL
+            )
+            if candidates.size:
+                _pivot(tableau, basis, position, candidates[0])
+            else:
+                drop.append(position)
+        tableau = np.delete(tableau, drop, axis=0)
+        basis = np.delete(basis, drop)
+        tableau = np.delete(tableau, np.s_[first_artificial:total], axis=1)
 
-    costs = np.zeros(tableau.shape[1] - 1)
-    costs[:size] = lp.objective
-    phase_two = _reduced_row(tableau, basis, costs)
+    # price the basic columns out of the cost row; each is a unit column, so
+    # the multiplier read for a row is not changed by the rows before it
+    phase_two = np.zeros(tableau.shape[1])
+    phase_two[:size] = -lp.objective
+    for position in np.flatnonzero(phase_two[basis]):
+        phase_two -= phase_two[basis[position]] * tableau[position]
     if _optimize(tableau, phase_two, basis) is LpStatus.UNBOUNDED:
         return LpSolution(LpStatus.UNBOUNDED, math.nan, ())
 
     shifted = np.zeros(tableau.shape[1] - 1)
     shifted[basis] = tableau[:, -1]
     values = shifted[:size] + shift
-    objective_value = float(np.asarray(lp.objective) @ values)
     return LpSolution(
-        LpStatus.OPTIMAL, objective_value, tuple(float(v) for v in values)
+        LpStatus.OPTIMAL, float(lp.objective @ values), tuple(values.tolist())
     )

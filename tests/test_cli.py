@@ -13,6 +13,42 @@ H_VALUES = str(DATA / "h_values.csv")
 PROFILES = str(DATA / "profiles.csv")
 PAPERS = str(DATA / "papers.csv")
 EMPTY = str(DATA / "empty.csv")
+RAY = str(DATA / "ray.csv")
+GOLDEN = DATA / "golden"
+
+# every command on both kinds of source; the files under tests/data/golden
+# hold their exact stdout, one file per invocation and format
+GOLDEN_INVOCATIONS = {
+    "indices-papers": ("indices", "--papers", PAPERS),
+    "indices-papers-profiles": ("indices", "--papers", PAPERS, "--profiles", PROFILES),
+    "dea-aggregates": ("dea", "--aggregates", AGGREGATES),
+    "dea-profiles": ("dea", "--profiles", PROFILES, "--papers", PAPERS),
+    "frontier-aggregates": ("frontier", "--aggregates", AGGREGATES),
+    "frontier-profiles": ("frontier", "--profiles", PROFILES, "--papers", PAPERS),
+    "rank-aggregates": ("rank", "--aggregates", AGGREGATES, "--h-values", H_VALUES),
+    "rank-profiles": ("rank", "--profiles", PROFILES, "--papers", PAPERS),
+    "correlate-aggregates": (
+        "correlate", "--aggregates", AGGREGATES, "--h-values", H_VALUES,
+    ),
+    "correlate-profiles": ("correlate", "--profiles", PROFILES, "--papers", PAPERS),
+    "report-aggregates": ("report", "--aggregates", AGGREGATES),
+    "report-aggregates-h": ("report", "--aggregates", AGGREGATES, "--h-values", H_VALUES),
+    "report-profiles": ("report", "--profiles", PROFILES, "--papers", PAPERS),
+    "report-profiles-options": (
+        "report", "--profiles", PROFILES, "--papers", PAPERS,
+        "--c-star", "5", "--penalty-a", "0.5", "--penalty-b", "2",
+    ),
+}
+GOLDEN_EXTENSIONS = {"table": "txt", "csv": "csv", "json": "json"}
+GOLDEN_CASES = [
+    (f"{name}.{extension}", argv + ("--format", output_format))
+    for name, argv in GOLDEN_INVOCATIONS.items()
+    for output_format, extension in GOLDEN_EXTENSIONS.items()
+] + [
+    # copies on one efficient ray: Bland's rule settles the ratio ties, and
+    # the json weights pin which vertex it picks
+    ("dea-ray.json", ("dea", "--aggregates", RAY, "--format", "json")),
+]
 
 
 def run(capsys, *argv):
@@ -95,36 +131,17 @@ class TestIndicesCommand:
         assert err.startswith("error:")
         assert "no records" in err
 
+
+class TestGoldenOutputs:
     @pytest.mark.parametrize(
-        "profiles, expected",
-        [
-            (
-                None,
-                "id,h,g,a,r,individual_h,si,si_penalized\n"
-                "A1,4,5,6.75,5.196152422706632,2.0,16.833333333333336,30.0\n"
-                "A2,2,3,15.0,5.477225575051661,1.3333333333333333,20.0,30.0\n"
-                "A3,1,1,7.0,2.6457513110645907,0.14285714285714285,1.0,7.0\n"
-                "A4,2,3,35.0,8.366600265340756,1.3333333333333333,40.2,71.0\n",
-            ),
-            (
-                PROFILES,
-                "id,h,g,a,r,individual_h,si,si_penalized,t,t_thresholded\n"
-                "A1,4,5,6.75,5.196152422706632,2.0,16.833333333333336,30.0,"
-                "4.208333333333334,4.208333333333334\n"
-                "A2,2,3,15.0,5.477225575051661,1.3333333333333333,20.0,30.0,2.0,2.0\n"
-                "A3,1,1,7.0,2.6457513110645907,0.14285714285714285,1.0,7.0,1.0,1.0\n"
-                "A4,2,3,35.0,8.366600265340756,1.3333333333333333,40.2,71.0,6.7,6.7\n",
-            ),
-        ],
-        ids=["papers", "papers_and_profiles"],
+        "golden, argv",
+        GOLDEN_CASES,
+        ids=[golden.replace(".", "-") for golden, _ in GOLDEN_CASES],
     )
-    def test_csv_output_is_exact(self, capsys, profiles, expected):
-        argv = ["indices", "--papers", PAPERS, "--format", "csv"]
-        if profiles is not None:
-            argv += ["--profiles", profiles]
+    def test_output_matches_golden(self, capsys, golden, argv):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
-        assert out == expected
+        assert out == (GOLDEN / golden).read_text()
 
 
 class TestDeaCommand:
@@ -166,6 +183,20 @@ class TestDeaCommand:
         lines = out.splitlines()
         efficient = [line for line in lines if line.endswith("1.000")]
         assert {line.split()[0] for line in efficient} == {"R6", "R7"}
+
+    def test_zero_citation_researcher_scores_zero(self, capsys, tmp_path):
+        aggregates = tmp_path / "zero.csv"
+        aggregates.write_text("a,10,20,500\nb,5,9,0\nc,7,30,900\n")
+        code, out, err = run(
+            capsys, "dea", "--aggregates", str(aggregates), "--format", "csv"
+        )
+        assert (code, err) == (0, "")
+        assert {row["id"]: row["efficiency"] for row in csv_rows(out)}["b"] == "0.0"
+        code, out, err = run(
+            capsys, "report", "--aggregates", str(aggregates), "--format", "csv"
+        )
+        assert (code, err) == (0, "")
+        assert {row["id"]: row["dea_rank"] for row in csv_rows(out)}["b"] == "3"
 
     def test_oversized_epsilon_is_a_data_error(self, capsys):
         code, _, err = run(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from citedea import (
+    FEASIBILITY_TOL,
     DeaError,
     DmuAggregate,
     DmuSet,
@@ -23,6 +24,15 @@ def simple_set():
         inputs=[[2.0, 4.0], [4.0, 8.0]],
         outputs=[[10.0], [10.0]],
     )
+
+
+def assert_feasible_weights(dmus, target, score, epsilon):
+    """The weights satisfy every row of the target's full program."""
+    u = np.array(score.output_weights)
+    v = np.array(score.input_weights)
+    assert np.all(np.concatenate([u, v]) >= epsilon - 1e-12)
+    assert abs(dmus.inputs[target] @ v - 1.0) <= FEASIBILITY_TOL
+    assert np.all(dmus.outputs @ u - dmus.inputs @ v <= FEASIBILITY_TOL)
 
 
 class TestDmuSet:
@@ -64,19 +74,19 @@ class TestBuildCcrLp:
     def test_structure_for_two_dmus(self):
         program = build_ccr_lp(simple_set(), 0, epsilon=1e-6)
         assert program.variable_count == 3
-        relations = [c.relation for c in program.constraints]
+        relations = list(program.senses)
         assert relations.count(Relation.EQ) == 1
         assert relations.count(Relation.LE) == 2
-        assert program.lower_bounds == (1e-6, 1e-6, 1e-6)
+        assert tuple(program.lower_bounds) == (1e-6, 1e-6, 1e-6)
         # objective covers only the output weights
-        assert program.objective == (10.0, 0.0, 0.0)
+        assert tuple(program.objective) == (10.0, 0.0, 0.0)
         # the normalization row covers only the input weights
-        assert program.constraints[0].coefficients == (0.0, 2.0, 4.0)
-        assert program.constraints[0].rhs == 1.0
+        assert tuple(program.constraints[0]) == (0.0, 2.0, 4.0)
+        assert program.rhs[0] == 1.0
 
     def test_per_variable_epsilon(self):
         program = build_ccr_lp(simple_set(), 0, epsilon=(1e-6, 1e-4, 1e-8))
-        assert program.lower_bounds == (1e-6, 1e-4, 1e-8)
+        assert tuple(program.lower_bounds) == (1e-6, 1e-4, 1e-8)
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(DeaError, match="strictly positive"):
@@ -123,12 +133,40 @@ class TestCcrEfficiency:
         with pytest.raises(DeaError, match="epsilon 1.0"):
             ccr_efficiency(dmus, 0, epsilon=1.0)
 
-    def test_zero_output_target_is_rejected(self):
+    def test_zero_output_target_scores_zero(self):
+        # the objective is 0 for every choice of weights, so the optimum is 0
         dmus = DmuSet(
             ids=("A", "B"), inputs=[[1.0], [1.0]], outputs=[[0.0], [5.0]]
         )
-        with pytest.raises(DeaError, match="no positive output"):
-            ccr_efficiency(dmus, 0)
+        score = ccr_efficiency(dmus, 0, epsilon=1e-6)
+        assert score.score == 0.0
+        assert_feasible_weights(dmus, 0, score, 1e-6)
+
+
+class TestFeasibilityCertificate:
+    def test_weights_satisfy_the_full_program_on_skewed_sets(self):
+        # citations dwarf years + coauthors, so the shifted right hand side of
+        # most rows is negative: those rows flip to >= and need an artificial
+        rng = np.random.default_rng(2718)
+        epsilon = 1e-6
+        for _ in range(6):
+            size = int(rng.integers(8, 40))
+            dmus = DmuSet(
+                ids=tuple(f"D{i}" for i in range(size)),
+                inputs=np.column_stack(
+                    [rng.integers(1, 41, size), rng.integers(1, 2001, size)]
+                ).astype(float),
+                outputs=np.floor(rng.lognormal(8.0, 1.5, size=(size, 1))) + 1.0,
+            )
+            program = build_ccr_lp(dmus, 0, epsilon)
+            shifted_rhs = program.rhs - program.constraints @ program.lower_bounds
+            assert np.count_nonzero(shifted_rhs < 0) > size // 2
+            for target, score in enumerate(ccr_all(dmus, epsilon)):
+                assert_feasible_weights(dmus, target, score, epsilon)
+                if score.score != 1.0:
+                    assert score.score == float(
+                        dmus.outputs[target] @ np.array(score.output_weights)
+                    )
 
 
 class TestCcrAll:

@@ -7,7 +7,6 @@ import pytest
 from scipy.optimize import linprog
 
 from citedea import (
-    Constraint,
     LinearProgram,
     LpStatus,
     Relation,
@@ -19,9 +18,11 @@ def lp(objective, constraints, lower_bounds=None):
     if lower_bounds is None:
         lower_bounds = (0.0,) * len(objective)
     return LinearProgram(
-        objective=tuple(objective),
-        constraints=tuple(Constraint(c, r, b) for c, r, b in constraints),
-        lower_bounds=tuple(lower_bounds),
+        objective=objective,
+        constraints=[c for c, _, _ in constraints] or np.zeros((0, len(objective))),
+        senses=[r for _, r, _ in constraints],
+        rhs=[b for _, _, b in constraints],
+        lower_bounds=lower_bounds,
     )
 
 
@@ -44,16 +45,18 @@ class TestStatuses:
 
 class TestConstruction:
     def test_constraint_dimension_mismatch_is_rejected(self):
-        with pytest.raises(ValueError, match="constraint 0"):
+        with pytest.raises(ValueError, match=r"constraints has shape \(1, 1\)"):
             lp([1.0, 1.0], [((1.0,), Relation.LE, 1.0)])
 
     def test_lower_bound_dimension_mismatch_is_rejected(self):
         with pytest.raises(ValueError, match="lower_bounds"):
-            LinearProgram(objective=(1.0,), constraints=(), lower_bounds=(0.0, 0.0))
+            lp([1.0], [], lower_bounds=(0.0, 0.0))
 
     def test_empty_objective_is_rejected(self):
         with pytest.raises(ValueError, match="at least one variable"):
-            LinearProgram(objective=(), constraints=(), lower_bounds=())
+            LinearProgram(
+                objective=(), constraints=(), senses=(), rhs=(), lower_bounds=()
+            )
 
 
 class TestMechanics:
@@ -117,9 +120,9 @@ def random_program(rng):
 
 
 def scipy_reference(program):
-    relations = [c.relation for c in program.constraints]
-    matrix = np.array([c.coefficients for c in program.constraints], dtype=float)
-    rhs = np.array([c.rhs for c in program.constraints], dtype=float)
+    relations = program.senses
+    matrix = program.constraints
+    rhs = program.rhs
     le = [i for i, r in enumerate(relations) if r is Relation.LE]
     ge = [i for i, r in enumerate(relations) if r is Relation.GE]
     eq = [i for i, r in enumerate(relations) if r is Relation.EQ]
@@ -168,14 +171,16 @@ class TestAgainstScipy:
             checked += 1
             values = np.array(solution.variable_values)
             assert np.all(values >= np.array(program.lower_bounds) - 1e-9)
-            for constraint in program.constraints:
-                activity = float(np.dot(constraint.coefficients, values))
-                if constraint.relation is Relation.LE:
-                    assert activity <= constraint.rhs + 1e-7
-                elif constraint.relation is Relation.GE:
-                    assert activity >= constraint.rhs - 1e-7
+            for row, relation, rhs in zip(
+                program.constraints, program.senses, program.rhs
+            ):
+                activity = float(np.dot(row, values))
+                if relation is Relation.LE:
+                    assert activity <= rhs + 1e-7
+                elif relation is Relation.GE:
+                    assert activity >= rhs - 1e-7
                 else:
-                    assert activity == pytest.approx(constraint.rhs, abs=1e-7)
+                    assert activity == pytest.approx(rhs, abs=1e-7)
         assert checked > 10
 
 
