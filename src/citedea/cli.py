@@ -40,7 +40,7 @@ def _cell(name: str, value, float_format: str) -> str:
 
 
 def _json_value(name: str, value):
-    if isinstance(value, (bool, str)):
+    if isinstance(value, (bool, str, list)):
         return value
     if _is_int_column(name):
         return int(value)
@@ -69,11 +69,14 @@ def _render_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_json(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    data = [
+def _json_rows(headers: Sequence[str], rows: Sequence[Sequence]) -> list[dict]:
+    return [
         {name: _json_value(name, value) for name, value in zip(headers, row)}
         for row in rows
     ]
+
+
+def _render_json(data) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
@@ -81,17 +84,20 @@ def _emit(headers: Sequence[str], rows: Sequence[Sequence], output_format: str) 
     if output_format == "csv":
         return _render_csv(headers, rows)
     if output_format == "json":
-        return _render_json(headers, rows)
+        return _render_json(_json_rows(headers, rows))
     return _render_table(headers, rows)
+
+
+def _load_profiles(options):
+    return parse_profiles(
+        Path(options.profiles).read_text(), Path(options.papers).read_text()
+    )
 
 
 def _load_aggregates(options):
     if options.aggregates is not None:
         return parse_aggregates(Path(options.aggregates).read_text())
-    profiles = parse_profiles(
-        Path(options.profiles).read_text(), Path(options.papers).read_text()
-    )
-    return [aggregate(profile) for profile in profiles]
+    return [aggregate(profile) for profile in _load_profiles(options)]
 
 
 def _penalty(options) -> PenaltyParams:
@@ -122,80 +128,68 @@ def _cmd_dea(options) -> str:
     aggregates = _load_aggregates(options)
     scores = ccr_all(DmuSet.from_aggregates(aggregates), epsilon=options.epsilon)
     headers = ["id", "years", "coauthors", "citations", "efficiency"]
-    if options.format == "json":
-        data = []
-        for item, score in zip(aggregates, scores):
-            data.append(
-                {
-                    "id": item.id,
-                    "years": item.years,
-                    "coauthors": item.coauthors,
-                    "citations": item.citations,
-                    "efficiency": score.score,
-                    "input_weights": list(score.input_weights),
-                    "output_weights": list(score.output_weights),
-                }
-            )
-        return json.dumps(data, indent=2) + "\n"
     rows = [
         [item.id, item.years, item.coauthors, item.citations, score.score]
         for item, score in zip(aggregates, scores)
     ]
+    if options.format == "json":
+        # json also carries the weights behind each score, as two list columns
+        headers += ["input_weights", "output_weights"]
+        for row, score in zip(rows, scores):
+            row += [list(score.input_weights), list(score.output_weights)]
     return _emit(headers, rows, options.format)
 
 
 def _report(options) -> MetricReport:
-    h_scores = None
-    if getattr(options, "h_values", None) is not None:
-        h_scores = parse_h_values(Path(options.h_values).read_text())
-    if options.aggregates is not None:
-        return build_report(
-            aggregates=parse_aggregates(Path(options.aggregates).read_text()),
-            h_scores=h_scores,
-            c_star=options.c_star,
-            penalty=_penalty(options),
-            epsilon=options.epsilon,
-        )
-    profiles = parse_profiles(
-        Path(options.profiles).read_text(), Path(options.papers).read_text()
-    )
+    if options.aggregates is None:
+        sources = {"profiles": _load_profiles(options)}
+    else:
+        h_scores = None
+        if options.h_values is not None:
+            h_scores = parse_h_values(Path(options.h_values).read_text())
+        aggregates = parse_aggregates(Path(options.aggregates).read_text())
+        sources = {"aggregates": aggregates, "h_scores": h_scores}
     return build_report(
-        profiles=profiles,
+        **sources,
         c_star=options.c_star,
         penalty=_penalty(options),
         epsilon=options.epsilon,
     )
 
 
-def _rank_columns(report: MetricReport) -> tuple[list[str], list[list]]:
+def _researcher_rows(
+    report: MetricReport, metrics: Sequence[str]
+) -> tuple[list[str], list[list]]:
+    """One row per researcher: its id, the ``metrics`` columns, then every rank."""
     # rankings are built in rank order, each with its entries in report.ids order
-    headers = [f"{name}_rank" for name in report.rankings]
+    headers = ["id", *metrics] + [f"{name}_rank" for name in report.rankings]
     rows = [
-        [ranking.entries[position].rank for ranking in report.rankings.values()]
-        for position in range(len(report.ids))
+        [researcher]
+        + [report.columns[name][position] for name in metrics]
+        + [ranking.entries[position].rank for ranking in report.rankings.values()]
+        for position, researcher in enumerate(report.ids)
     ]
     return headers, rows
 
 
-def _cmd_rank(options) -> str:
-    report = _report(options)
-    rank_headers, rank_rows = _rank_columns(report)
-    headers = ["id"] + rank_headers
-    rows = [
-        [researcher] + rank_rows[position]
-        for position, researcher in enumerate(report.ids)
+_CORRELATION_HEADERS = ("metric_a", "metric_b", "coefficient")
+
+
+def _correlation_rows(report: MetricReport) -> list[list]:
+    return [
+        [pair.metric_a, pair.metric_b, pair.coefficient]
+        for pair in report.correlations.pairs
     ]
+
+
+def _cmd_rank(options) -> str:
+    headers, rows = _researcher_rows(_report(options), ())
     return _emit(headers, rows, options.format)
 
 
 def _cmd_correlate(options) -> str:
     report = _report(options)
-    headers = ["metric_a", "metric_b", "coefficient"]
-    rows = [
-        [pair.metric_a, pair.metric_b, pair.coefficient]
-        for pair in report.correlations.pairs
-    ]
-    return _emit(headers, rows, options.format)
+    return _emit(_CORRELATION_HEADERS, _correlation_rows(report), options.format)
 
 
 def _cmd_frontier(options) -> str:
@@ -209,38 +203,17 @@ def _cmd_frontier(options) -> str:
         for index, label in enumerate(dmus.ids)
     ]
     if options.format == "json":
-        data = {
-            "frontier": efficient,
-            "points": [
-                {name: _json_value(name, value) for name, value in zip(headers, row)}
-                for row in rows
-            ],
-        }
-        return json.dumps(data, indent=2) + "\n"
+        return _render_json({"frontier": efficient, "points": _json_rows(headers, rows)})
     return _emit(headers, rows, options.format)
 
 
 def _cmd_report(options) -> str:
     report = _report(options)
-    rank_headers, rank_rows = _rank_columns(report)
-    headers = ["id"] + list(report.metrics) + rank_headers
-    rows = []
-    for position, researcher in enumerate(report.ids):
-        row = [researcher]
-        row += [report.columns[name][position] for name in report.metrics]
-        row += rank_rows[position]
-        rows.append(row)
-    correlation_headers = ["metric_a", "metric_b", "coefficient"]
-    correlation_rows = [
-        [pair.metric_a, pair.metric_b, pair.coefficient]
-        for pair in report.correlations.pairs
-    ]
+    headers, rows = _researcher_rows(report, report.metrics)
+    correlation_rows = _correlation_rows(report)
     if options.format == "json":
         data = {
-            "researchers": [
-                {name: _json_value(name, value) for name, value in zip(headers, row)}
-                for row in rows
-            ],
+            "researchers": _json_rows(headers, rows),
             "rankings": {
                 name: [
                     {"id": entry.id, "score": entry.score, "rank": entry.rank}
@@ -248,16 +221,9 @@ def _cmd_report(options) -> str:
                 ]
                 for name, ranking in sorted(report.rankings.items())
             },
-            "correlations": [
-                {
-                    "metric_a": pair.metric_a,
-                    "metric_b": pair.metric_b,
-                    "coefficient": pair.coefficient,
-                }
-                for pair in report.correlations.pairs
-            ],
+            "correlations": _json_rows(_CORRELATION_HEADERS, correlation_rows),
         }
-        return json.dumps(data, indent=2) + "\n"
+        return _render_json(data)
     if options.format == "csv":
         # correlations ride along as comment rows so the table still parses
         text = _render_csv(headers, rows)
@@ -267,21 +233,28 @@ def _cmd_report(options) -> str:
     text = _render_table(headers, rows)
     text += "\ncorrelations:\n"
     if correlation_rows:
-        text += _render_table(correlation_headers, correlation_rows)
+        text += _render_table(_CORRELATION_HEADERS, correlation_rows)
     else:
         text += "(none)\n"
     return text
 
 
-def _add_source_flags(parser: argparse.ArgumentParser, h_values: bool = False) -> None:
+def _add_paper_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--papers", required=True, help="paper CSV: id,citations,authors")
+    parser.add_argument("--profiles", help="profile CSV adding career years for the t columns")
+
+
+def _add_source_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--aggregates", help="aggregate CSV: id,years,coauthors,citations")
     parser.add_argument("--profiles", help="profile CSV: id,career_years")
     parser.add_argument("--papers", help="paper CSV: id,citations,authors")
-    if h_values:
-        parser.add_argument(
-            "--h-values",
-            help="CSV of id,h pairs supplying the h column for aggregate input",
-        )
+
+
+def _add_h_values_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--h-values",
+        help="CSV of id,h pairs supplying the h column for aggregate input",
+    )
 
 
 def _add_index_flags(parser: argparse.ArgumentParser) -> None:
@@ -314,13 +287,32 @@ def _add_epsilon_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_format_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("table", "csv", "json"),
-        default="table",
-        help="output format (default table)",
-    )
+_METRIC_FLAGS = (_add_source_flags, _add_h_values_flag, _add_index_flags, _add_epsilon_flag)
+
+# (name, help, handler, flag adders), in the order --help lists them
+_COMMANDS = (
+    (
+        "indices",
+        "per-researcher citation indices from per-paper records",
+        _cmd_indices,
+        (_add_paper_flags, _add_index_flags),
+    ),
+    (
+        "dea",
+        "CCR efficiency score per researcher",
+        _cmd_dea,
+        (_add_source_flags, _add_epsilon_flag),
+    ),
+    ("rank", "competition ranks per rankable metric", _cmd_rank, _METRIC_FLAGS),
+    ("correlate", "rank correlations between rankable metrics", _cmd_correlate, _METRIC_FLAGS),
+    (
+        "frontier",
+        "per-citation input points and the efficient frontier",
+        _cmd_frontier,
+        (_add_source_flags,),
+    ),
+    ("report", "full metric, rank, and correlation report", _cmd_report, _METRIC_FLAGS),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,54 +324,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    indices = commands.add_parser(
-        "indices", help="per-researcher citation indices from per-paper records"
-    )
-    indices.add_argument("--papers", required=True, help="paper CSV: id,citations,authors")
-    indices.add_argument("--profiles", help="profile CSV adding career years for the t columns")
-    _add_index_flags(indices)
-    _add_format_flag(indices)
-    indices.set_defaults(handler=_cmd_indices)
-
-    dea = commands.add_parser("dea", help="CCR efficiency score per researcher")
-    _add_source_flags(dea)
-    _add_epsilon_flag(dea)
-    _add_format_flag(dea)
-    dea.set_defaults(handler=_cmd_dea)
-
-    rank_parser = commands.add_parser("rank", help="competition ranks per rankable metric")
-    _add_source_flags(rank_parser, h_values=True)
-    _add_index_flags(rank_parser)
-    _add_epsilon_flag(rank_parser)
-    _add_format_flag(rank_parser)
-    rank_parser.set_defaults(handler=_cmd_rank)
-
-    correlate = commands.add_parser(
-        "correlate", help="rank correlations between rankable metrics"
-    )
-    _add_source_flags(correlate, h_values=True)
-    _add_index_flags(correlate)
-    _add_epsilon_flag(correlate)
-    _add_format_flag(correlate)
-    correlate.set_defaults(handler=_cmd_correlate)
-
-    frontier_parser = commands.add_parser(
-        "frontier", help="per-citation input points and the efficient frontier"
-    )
-    _add_source_flags(frontier_parser)
-    _add_format_flag(frontier_parser)
-    frontier_parser.set_defaults(handler=_cmd_frontier)
-
-    report = commands.add_parser(
-        "report", help="full metric, rank, and correlation report"
-    )
-    _add_source_flags(report, h_values=True)
-    _add_index_flags(report)
-    _add_epsilon_flag(report)
-    _add_format_flag(report)
-    report.set_defaults(handler=_cmd_report)
-
+    for name, summary, handler, flag_adders in _COMMANDS:
+        command = commands.add_parser(name, help=summary)
+        for add_flags in flag_adders:
+            add_flags(command)
+        command.add_argument(
+            "--format",
+            choices=("table", "csv", "json"),
+            default="table",
+            help="output format (default table)",
+        )
+        command.set_defaults(handler=handler)
     return parser
 
 

@@ -73,80 +73,81 @@ class DmuAggregate:
             )
 
 
-def _read_text(source: str | TextIO) -> str:
-    text = source.read() if hasattr(source, "read") else source
-    # a UTF-8 byte order mark would otherwise glue itself to the first cell
-    return text.removeprefix("\ufeff")
+def _records(
+    source: str | TextIO, columns: tuple[str, ...], name: str, *, unique: bool = True
+) -> Iterator[tuple[int, str, list[int]]]:
+    """Yield (line number, id, integer cells in ``columns`` order) for each data row.
 
-
-def _data_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Yield (physical line number, stripped line), skipping blanks and comments."""
-    for number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield number, stripped
-
-
-def _parse_rows(
-    source: str | TextIO, columns: tuple[str, ...], name: str
-) -> list[tuple[int, dict[str, str]]]:
-    """Parse CSV rows into dicts keyed by the required column names.
-
-    A header is recognized when the first data line's first cell is "id"
+    ``columns`` starts with "id"; every other column holds an integer.  Blank
+    lines and lines starting with "#" are skipped; line numbers count them.  A
+    header is recognized when the first data line's first cell is "id"
     (case-insensitive).  With a header, the required columns may appear in
     any position, extra columns are ignored, and each row must match the
     header width.  Without one, rows must hold exactly the required columns
-    in their documented order.
+    in their documented order.  Rows are checked as they are read, so the
+    first bad line in file order is the one reported; ``unique`` rejects a
+    repeated id.
     """
-    lines = list(_data_lines(_read_text(source)))
-    positions = {column: index for index, column in enumerate(columns)}
+    text = source.read() if hasattr(source, "read") else source
+    positions = list(range(len(columns)))
     width = len(columns)
-    start = 0
-    if lines:
-        first = [cell.strip().lower() for cell in lines[0][1].split(",")]
-        if first[0] == "id":
-            missing = [column for column in columns if column not in first]
-            if missing:
-                raise CorpusError(
-                    f"{name} line {lines[0][0]}: header is missing "
-                    f"column(s) {', '.join(missing)}"
-                )
-            positions = {column: first.index(column) for column in columns}
-            width = len(first)
-            start = 1
-    rows = []
-    for number, line in lines[start:]:
+    header = None
+    seen: set[str] = set()
+    # a UTF-8 byte order mark would otherwise glue itself to the first cell
+    for number, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
         cells = [cell.strip() for cell in line.split(",")]
+        if header is None:
+            header = [cell.lower() for cell in cells]
+            if header[0] == "id":
+                missing = [column for column in columns if column not in header]
+                if missing:
+                    raise CorpusError(
+                        f"{name} line {number}: header is missing "
+                        f"column(s) {', '.join(missing)}"
+                    )
+                positions = [header.index(column) for column in columns]
+                width = len(header)
+                continue
         if len(cells) != width:
             raise CorpusError(
                 f"{name} line {number}: expected {width} columns, got {len(cells)}"
             )
-        rows.append((number, {column: cells[positions[column]] for column in columns}))
-    if not rows:
+        researcher = cells[positions[0]]
+        if unique and researcher in seen:
+            raise CorpusError(
+                f"{name} line {number}: duplicate researcher id {researcher!r}"
+            )
+        seen.add(researcher)
+        values = []
+        for column, position in zip(columns[1:], positions[1:]):
+            try:
+                values.append(int(cells[position]))
+            except ValueError:
+                raise CorpusError(
+                    f"{name} line {number}: non-integer value {cells[position]!r} "
+                    f"for {column}"
+                ) from None
+        yield number, researcher, values
+    if not seen:
         raise CorpusError(f"{name}: no records")
-    return rows
 
 
-def _int_field(name: str, number: int, column: str, value: str) -> int:
+def _build(kind, name: str, number: int, *args):
+    """``kind(*args)``, with a validation error re-raised under its line number."""
     try:
-        return int(value)
-    except ValueError:
-        raise CorpusError(
-            f"{name} line {number}: non-integer value {value!r} for {column}"
-        ) from None
+        return kind(*args)
+    except ValueError as error:
+        raise CorpusError(f"{name} line {number}: {error}") from None
 
 
 def _paper_rows(source: str | TextIO) -> Iterator[tuple[int, str, PaperRecord]]:
     """Yield (line number, researcher id, record) for each ``id,citations,authors`` row."""
-    for number, row in _parse_rows(source, ("id", "citations", "authors"), "papers"):
-        citations = _int_field("papers", number, "citations", row["citations"])
-        authors = _int_field("papers", number, "authors", row["authors"])
-        try:
-            record = PaperRecord(citations=citations, authors=authors)
-        except ValueError as error:
-            raise CorpusError(f"papers line {number}: {error}") from None
-        yield number, row["id"], record
+    columns = ("id", "citations", "authors")
+    for number, researcher, values in _records(source, columns, "papers", unique=False):
+        yield number, researcher, _build(PaperRecord, "papers", number, *values)
 
 
 def parse_papers(source: str | TextIO) -> dict[str, tuple[PaperRecord, ...]]:
@@ -172,80 +173,38 @@ def parse_profiles(
     stream.  Researchers with no paper rows are kept (they can be staged but
     not aggregated).
     """
-    years: dict[str, int] = {}
-    declared_at: dict[str, int] = {}
-    for number, row in _parse_rows(profiles_source, ("id", "career_years"), "profiles"):
-        researcher = row["id"]
-        if researcher in years:
-            raise CorpusError(
-                f"profiles line {number}: duplicate researcher id {researcher!r}"
-            )
-        years[researcher] = _int_field(
-            "profiles", number, "career_years", row["career_years"]
+    declared = {
+        researcher: (number, career_years)
+        for number, researcher, (career_years,) in _records(
+            profiles_source, ("id", "career_years"), "profiles"
         )
-        declared_at[researcher] = number
-    papers: dict[str, list[PaperRecord]] = {researcher: [] for researcher in years}
+    }
+    papers: dict[str, list[PaperRecord]] = {researcher: [] for researcher in declared}
     for number, researcher, record in _paper_rows(papers_source):
-        if researcher not in years:
+        if researcher not in papers:
             raise CorpusError(
                 f"papers line {number}: unknown researcher id {researcher!r}"
             )
         papers[researcher].append(record)
-    profiles = []
-    for researcher, career_years in years.items():
-        try:
-            profiles.append(
-                ResearcherProfile(
-                    id=researcher,
-                    career_years=career_years,
-                    papers=tuple(papers[researcher]),
-                )
-            )
-        except ValueError as error:
-            raise CorpusError(
-                f"profiles line {declared_at[researcher]}: {error}"
-            ) from None
-    return profiles
+    return [
+        _build(ResearcherProfile, "profiles", number, researcher, years, papers[researcher])
+        for researcher, (number, years) in declared.items()
+    ]
 
 
 def parse_aggregates(source: str | TextIO) -> list[DmuAggregate]:
     """Parse an ``id,years,coauthors,citations`` stream into DMU aggregates."""
-    aggregates = []
-    seen: set[str] = set()
-    for number, row in _parse_rows(
-        source, ("id", "years", "coauthors", "citations"), "aggregates"
-    ):
-        researcher = row["id"]
-        if researcher in seen:
-            raise CorpusError(
-                f"aggregates line {number}: duplicate researcher id {researcher!r}"
-            )
-        seen.add(researcher)
-        years, coauthors, citations = (
-            _int_field("aggregates", number, column, row[column])
-            for column in ("years", "coauthors", "citations")
-        )
-        try:
-            aggregates.append(
-                DmuAggregate(
-                    id=researcher, years=years, coauthors=coauthors, citations=citations
-                )
-            )
-        except ValueError as error:
-            raise CorpusError(f"aggregates line {number}: {error}") from None
-    return aggregates
+    columns = ("id", "years", "coauthors", "citations")
+    return [
+        _build(DmuAggregate, "aggregates", number, researcher, *values)
+        for number, researcher, values in _records(source, columns, "aggregates")
+    ]
 
 
 def parse_h_values(source: str | TextIO) -> dict[str, int]:
     """Parse an ``id,h`` stream into a researcher-to-h mapping."""
     values: dict[str, int] = {}
-    for number, row in _parse_rows(source, ("id", "h"), "h-values"):
-        researcher = row["id"]
-        if researcher in values:
-            raise CorpusError(
-                f"h-values line {number}: duplicate researcher id {researcher!r}"
-            )
-        value = _int_field("h-values", number, "h", row["h"])
+    for number, researcher, (value,) in _records(source, ("id", "h"), "h-values"):
         if value < 0:
             raise CorpusError(f"h-values line {number}: h must be non-negative")
         values[researcher] = value
@@ -255,7 +214,10 @@ def parse_h_values(source: str | TextIO) -> dict[str, int]:
 def aggregate(profile: ResearcherProfile) -> DmuAggregate:
     """Collapse a profile into its (years, coauthors, citations) DMU triple."""
     if not profile.papers:
-        raise CorpusError(f"researcher {profile.id!r} has no papers to aggregate")
+        raise CorpusError(
+            f"researcher {profile.id!r} has no papers to aggregate; add paper rows "
+            f"for {profile.id!r} or remove it from the profiles file"
+        )
     return DmuAggregate(
         id=profile.id,
         years=profile.career_years,

@@ -142,6 +142,25 @@ def build_ccr_lp(
     )
 
 
+def _largest_epsilon(dmus: DmuSet, target_index: int) -> float:
+    """The largest common lower bound on every weight that keeps the target feasible.
+
+    Maximizes t over the target's program rows plus t <= each weight, with
+    all variables non-negative; t is positive because every input is.
+    """
+    ccr = build_ccr_lp(dmus, target_index)
+    weights = ccr.variable_count
+    caps = np.hstack([-np.eye(weights), np.ones((weights, 1))])  # t - w <= 0
+    program = LinearProgram(
+        objective=np.append(np.zeros(weights), 1.0),
+        constraints=np.vstack([np.pad(ccr.constraints, ((0, 0), (0, 1))), caps]),
+        senses=ccr.senses + (Relation.LE,) * weights,
+        rhs=np.append(ccr.rhs, np.zeros(weights)),
+        lower_bounds=np.zeros(weights + 1),
+    )
+    return solve_lp(program).objective_value
+
+
 def ccr_efficiency(
     dmus: DmuSet, target_index: int, epsilon: float | Sequence[float] = DEFAULT_EPSILON
 ) -> EfficiencyScore:
@@ -152,7 +171,8 @@ def ccr_efficiency(
     if solution.status is LpStatus.INFEASIBLE:
         raise DeaError(
             f"no feasible weights for DMU {label!r} with epsilon {epsilon!r}; "
-            "lower the bound"
+            f"lower the bound: the largest feasible epsilon for {label!r} is "
+            f"{_largest_epsilon(dmus, target_index):.4g}"
         )
     if solution.status is not LpStatus.OPTIMAL:
         raise DeaError(

@@ -90,10 +90,10 @@ def r_index(citations: Sequence[int]) -> float:
 
 def h_core(papers: Sequence[PaperRecord]) -> tuple[PaperRecord, ...]:
     """The h most cited papers; equally cited papers keep their input order."""
-    h = h_index([record.citations for record in papers])
-    # sorted() is stable, so the negated key breaks citation ties by position
+    # sorted() is stable, so the negated key breaks citation ties by position;
+    # h_index's own sort is then a linear pass over the descending counts
     ranked = sorted(papers, key=lambda record: -record.citations)
-    return tuple(ranked[:h])
+    return tuple(ranked[: h_index([record.citations for record in ranked])])
 
 
 def individual_h(papers: Sequence[PaperRecord]) -> float:

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import citedea
 from citedea import (
     DmuSet,
     PaperRecord,
@@ -256,9 +257,12 @@ def test_criterion_7_report_runs_are_byte_identical():
         "--aggregates", str(DATA / "researchers.csv"),
         "--h-values", str(DATA / "h_values.csv"),
     ]
+    # the child imports the same package this test did, installed or not
+    package_root = os.path.dirname(os.path.dirname(citedea.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     runs = []
     for hash_seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         result = subprocess.run(command, capture_output=True, env=env)
         assert result.returncode == 0, result.stderr.decode()
         runs.append(result.stdout)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from citedea import parse_aggregates
-from citedea.cli import main
+from citedea.cli import build_parser, main
 from conftest import DATA, EXPECTED_DEA_RANKS, EXPECTED_EFFICIENCY, EXPECTED_H_RANKS
 
 AGGREGATES = str(DATA / "researchers.csv")
@@ -205,6 +205,16 @@ class TestDeaCommand:
         assert code == 1
         assert "epsilon" in err
 
+    def test_infeasible_epsilon_names_the_largest_feasible_one(self, capsys, tmp_path):
+        aggregates = tmp_path / "steep.csv"
+        aggregates.write_text("a,1,1,50000\nc,40,2000,1\n")
+        code, out, err = run(capsys, "dea", "--aggregates", str(aggregates))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: no feasible weights for DMU 'c' with epsilon 1e-06; lower the bound: "
+            "the largest feasible epsilon for 'c' is 4.995e-07\n"
+        )
+
 
 class TestRankCommand:
     def test_aggregate_ranks_with_h_column(self, capsys):
@@ -319,6 +329,28 @@ class TestReportCommand:
         assert "(none)" in out
 
 
+class TestParser:
+    SOURCES = {"aggregates": None, "profiles": None, "papers": None}
+    INDEX_OPTIONS = {"c_star": 0, "penalty_a": 0.0, "penalty_b": 1}
+    METRIC_OPTIONS = {**SOURCES, "h_values": None, **INDEX_OPTIONS, "epsilon": 1e-6}
+    # every destination and default of each subcommand, beyond command and format
+    OPTIONS = {
+        "indices": {"papers": "p.csv", "profiles": None, **INDEX_OPTIONS},
+        "dea": {**SOURCES, "epsilon": 1e-6},
+        "rank": METRIC_OPTIONS,
+        "correlate": METRIC_OPTIONS,
+        "frontier": SOURCES,
+        "report": METRIC_OPTIONS,
+    }
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_each_command_has_exactly_its_options(self, command):
+        argv = [command] + (["--papers", "p.csv"] if command == "indices" else [])
+        options = vars(build_parser().parse_args(argv))
+        assert options.pop("handler").__name__ == f"_cmd_{command}"
+        assert options == {"command": command, **self.OPTIONS[command], "format": "table"}
+
+
 class TestUsageErrors:
     def expect_usage_error(self, capsys, *argv):
         with pytest.raises(SystemExit) as excinfo:
@@ -387,6 +419,20 @@ class TestDataErrors:
         code, _, err = run(capsys, "dea", "--aggregates", str(bad))
         assert code == 1
         assert "line 2" in err
+
+    def test_profile_without_papers_names_the_fix(self, capsys, tmp_path):
+        profiles = tmp_path / "profiles.csv"
+        papers = tmp_path / "papers.csv"
+        profiles.write_text("x,5\ny,3\n")
+        papers.write_text("x,10,2\n")
+        code, out, err = run(
+            capsys, "report", "--profiles", str(profiles), "--papers", str(papers)
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: researcher 'y' has no papers to aggregate; "
+            "add paper rows for 'y' or remove it from the profiles file\n"
+        )
 
     def test_solver_iteration_limit_is_a_data_error(self, capsys, monkeypatch):
         def capped(program):

@@ -148,6 +148,12 @@ class TestParsePapers:
         with pytest.raises(CorpusError, match="no records"):
             parse_papers((DATA / "empty.csv").read_text())
 
+    def test_first_bad_line_in_file_order_is_reported(self):
+        with pytest.raises(
+            CorpusError, match="^papers line 1: non-integer value 'abc' for citations$"
+        ):
+            parse_papers("R1,abc,2\nR2,1,2,3")
+
 
 class TestParseAggregates:
     def test_rows_become_aggregates(self):

@@ -16,6 +16,7 @@ from citedea import (
     frontier,
     solve_lp,
 )
+from citedea.dea import _largest_epsilon
 
 
 def simple_set():
@@ -132,6 +133,24 @@ class TestCcrEfficiency:
         dmus = simple_set()
         with pytest.raises(DeaError, match="epsilon 1.0"):
             ccr_efficiency(dmus, 0, epsilon=1.0)
+
+    def test_infeasible_epsilon_names_the_largest_feasible_one(self):
+        # worked by hand: v = (49999t, t), u = t on the pinned row 40*v1 + 2000*v2 = 1
+        dmus = DmuSet(
+            ids=("a", "c"), inputs=[[1.0, 1.0], [40.0, 2000.0]], outputs=[[50000.0], [1.0]]
+        )
+        largest = 1 / 2001960
+        assert _largest_epsilon(dmus, 1) == pytest.approx(largest, rel=1e-12)
+        with pytest.raises(
+            DeaError,
+            match=r"epsilon 1e-06; lower the bound: "
+            r"the largest feasible epsilon for 'c' is 4\.995e-07$",
+        ):
+            ccr_efficiency(dmus, 1, epsilon=1e-6)
+        score = ccr_efficiency(dmus, 1, epsilon=largest)
+        assert_feasible_weights(dmus, 1, score, largest)
+        with pytest.raises(DeaError, match="no feasible weights"):
+            ccr_efficiency(dmus, 1, epsilon=2 * largest)
 
     def test_zero_output_target_scores_zero(self):
         # the objective is 0 for every choice of weights, so the optimum is 0
