@@ -21,36 +21,19 @@ from .corpus import (
 from .dea import DEFAULT_EPSILON, DeaError, DmuSet, ccr_all, frontier
 from .indices import PenaltyParams, compute_indices, paper_indices
 
-_INT_COLUMNS = {"years", "coauthors", "citations", "h", "g"}
-
-
-def _is_int_column(name: str) -> bool:
-    return name in _INT_COLUMNS or name.endswith("_rank")
-
-
-def _cell(name: str, value, float_format: str) -> str:
+def _cell(value, float_format: str) -> str:
     """Render one cell; floats use ``float_format`` ("" is the shortest round-trip form)."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    if _is_int_column(name):
-        return str(int(value))
+    if isinstance(value, (str, int)):
+        return str(value)
     return format(float(value), float_format)
-
-
-def _json_value(name: str, value):
-    if isinstance(value, (bool, str, list)):
-        return value
-    if _is_int_column(name):
-        return int(value)
-    return float(value)
 
 
 def _render_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     cells = [list(headers)]
     for row in rows:
-        cells.append([_cell(name, value, ".3f") for name, value in zip(headers, row)])
+        cells.append([_cell(value, ".3f") for value in row])
     widths = [max(len(line[column]) for line in cells) for column in range(len(headers))]
     lines = []
     for line in cells:
@@ -65,15 +48,12 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 def _render_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     lines = [",".join(headers)]
     for row in rows:
-        lines.append(",".join(_cell(name, value, "") for name, value in zip(headers, row)))
+        lines.append(",".join(_cell(value, "") for value in row))
     return "\n".join(lines) + "\n"
 
 
 def _json_rows(headers: Sequence[str], rows: Sequence[Sequence]) -> list[dict]:
-    return [
-        {name: _json_value(name, value) for name, value in zip(headers, row)}
-        for row in rows
-    ]
+    return [dict(zip(headers, row)) for row in rows]
 
 
 def _render_json(data) -> str:
@@ -88,15 +68,23 @@ def _emit(headers: Sequence[str], rows: Sequence[Sequence], output_format: str) 
     return _render_table(headers, rows)
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        raise CorpusError(
+            f"{path} is not UTF-8 text (byte 0x{error.object[error.start]:02x} at offset "
+            f"{error.start}); save it as UTF-8"
+        ) from None
+
+
 def _load_profiles(options):
-    return parse_profiles(
-        Path(options.profiles).read_text(), Path(options.papers).read_text()
-    )
+    return parse_profiles(_read(options.profiles), _read(options.papers))
 
 
 def _load_aggregates(options):
     if options.aggregates is not None:
-        return parse_aggregates(Path(options.aggregates).read_text())
+        return parse_aggregates(_read(options.aggregates))
     return [aggregate(profile) for profile in _load_profiles(options)]
 
 
@@ -105,12 +93,12 @@ def _penalty(options) -> PenaltyParams:
 
 
 def _cmd_indices(options) -> str:
-    papers_text = Path(options.papers).read_text()
+    papers_text = _read(options.papers)
     penalty = _penalty(options)
     if options.profiles is not None:
         table = [
             (profile.id, compute_indices(profile, c_star=options.c_star, penalty=penalty))
-            for profile in parse_profiles(Path(options.profiles).read_text(), papers_text)
+            for profile in parse_profiles(_read(options.profiles), papers_text)
         ]
     else:
         # without career years only the per-list indices are computable
@@ -119,8 +107,8 @@ def _cmd_indices(options) -> str:
             for researcher, papers in parse_papers(papers_text).items()
         ]
     # the parsers reject empty input, so the table has a first row to name the columns
-    headers = ["id"] + [item.name.value for item in table[0][1]]
-    rows = [[label] + [item.value for item in values] for label, values in table]
+    headers = ["id", *table[0][1]]
+    rows = [[label, *values.values()] for label, values in table]
     return _emit(headers, rows, options.format)
 
 
@@ -146,8 +134,8 @@ def _report(options) -> MetricReport:
     else:
         h_scores = None
         if options.h_values is not None:
-            h_scores = parse_h_values(Path(options.h_values).read_text())
-        aggregates = parse_aggregates(Path(options.aggregates).read_text())
+            h_scores = parse_h_values(_read(options.h_values))
+        aggregates = parse_aggregates(_read(options.aggregates))
         sources = {"aggregates": aggregates, "h_scores": h_scores}
     return build_report(
         **sources,
@@ -161,15 +149,9 @@ def _researcher_rows(
     report: MetricReport, metrics: Sequence[str]
 ) -> tuple[list[str], list[list]]:
     """One row per researcher: its id, the ``metrics`` columns, then every rank."""
-    # rankings are built in rank order, each with its entries in report.ids order
     headers = ["id", *metrics] + [f"{name}_rank" for name in report.rankings]
-    rows = [
-        [researcher]
-        + [report.columns[name][position] for name in metrics]
-        + [ranking.entries[position].rank for ranking in report.rankings.values()]
-        for position, researcher in enumerate(report.ids)
-    ]
-    return headers, rows
+    columns = [report.ids, *(report.columns[name] for name in metrics)]
+    return headers, [list(row) for row in zip(*columns, *report.rankings.values())]
 
 
 _CORRELATION_HEADERS = ("metric_a", "metric_b", "coefficient")
@@ -178,7 +160,7 @@ _CORRELATION_HEADERS = ("metric_a", "metric_b", "coefficient")
 def _correlation_rows(report: MetricReport) -> list[list]:
     return [
         [pair.metric_a, pair.metric_b, pair.coefficient]
-        for pair in report.correlations.pairs
+        for pair in report.correlations
     ]
 
 
@@ -209,17 +191,19 @@ def _cmd_frontier(options) -> str:
 
 def _cmd_report(options) -> str:
     report = _report(options)
-    headers, rows = _researcher_rows(report, report.metrics)
+    headers, rows = _researcher_rows(report, tuple(report.columns))
     correlation_rows = _correlation_rows(report)
     if options.format == "json":
         data = {
             "researchers": _json_rows(headers, rows),
             "rankings": {
                 name: [
-                    {"id": entry.id, "score": entry.score, "rank": entry.rank}
-                    for entry in ranking.entries
+                    {"id": researcher, "score": float(score), "rank": position}
+                    for researcher, score, position in zip(
+                        report.ids, report.columns[name], ranks
+                    )
                 ]
-                for name, ranking in sorted(report.rankings.items())
+                for name, ranks in sorted(report.rankings.items())
             },
             "correlations": _json_rows(_CORRELATION_HEADERS, correlation_rows),
         }
@@ -228,7 +212,7 @@ def _cmd_report(options) -> str:
         # correlations ride along as comment rows so the table still parses
         text = _render_csv(headers, rows)
         for pair in correlation_rows:
-            text += "# correlation," + ",".join(_cell("", cell, "") for cell in pair) + "\n"
+            text += "# correlation," + ",".join(_cell(cell, "") for cell in pair) + "\n"
         return text
     text = _render_table(headers, rows)
     text += "\ncorrelations:\n"

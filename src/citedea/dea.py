@@ -34,12 +34,12 @@ class DmuSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", tuple(str(label) for label in self.ids))
+        if len(self.ids) == 0:
+            raise DeaError("a DMU set needs at least one DMU")
         inputs = np.array(self.inputs, dtype=float)
         outputs = np.array(self.outputs, dtype=float)
         if inputs.ndim != 2 or outputs.ndim != 2:
             raise DeaError("inputs and outputs must be two-dimensional matrices")
-        if len(self.ids) == 0:
-            raise DeaError("a DMU set needs at least one DMU")
         if inputs.shape[0] != len(self.ids) or outputs.shape[0] != len(self.ids):
             raise DeaError(
                 f"expected one matrix row per DMU: {len(self.ids)} ids, "
@@ -54,7 +54,11 @@ class DmuSet:
         if np.any(outputs < 0):
             raise DeaError("output values must be non-negative")
         if not np.any(outputs > 0):
-            raise DeaError("at least one DMU must have a strictly positive output")
+            raise DeaError(
+                "at least one DMU must have a strictly positive output; every "
+                "researcher has 0 citations, so no one can be scored: include a "
+                "researcher with citations"
+            )
         inputs.setflags(write=False)
         outputs.setflags(write=False)
         object.__setattr__(self, "inputs", inputs)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .corpus import PaperRecord, ResearcherProfile
@@ -25,33 +24,10 @@ class PenaltyParams:
             raise ValueError(f"b must be a positive integer, got {self.b!r}")
 
 
-class IndexName(Enum):
-    """The citation indices this package computes."""
-
-    H = "h"
-    G = "g"
-    A = "a"
-    R = "r"
-    INDIVIDUAL_H = "individual_h"
-    SI = "si"
-    SI_PENALIZED = "si_penalized"
-    T = "t"
-    T_THRESHOLDED = "t_thresholded"
-
-
-@dataclass(frozen=True)
-class IndexValue:
-    """A named index value; h and g are integer-valued."""
-
-    name: IndexName
-    value: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(self.value))
-        if math.isnan(self.value) or self.value < 0:
-            raise ValueError(f"index value must be non-negative, got {self.value!r}")
-        if self.name in (IndexName.H, IndexName.G) and not self.value.is_integer():
-            raise ValueError(f"{self.name.value} must be an integer, got {self.value!r}")
+# every index compute_indices returns, in its order; paper_indices returns the first seven
+INDEX_NAMES = (
+    "h", "g", "a", "r", "individual_h", "si", "si_penalized", "t", "t_thresholded",
+)
 
 
 def h_index(citations: Sequence[int]) -> int:
@@ -142,20 +118,23 @@ def t_index_thresholded(profile: ResearcherProfile, c_star: int) -> float:
 
 def paper_indices(
     papers: Sequence[PaperRecord], *, penalty: PenaltyParams | None = None
-) -> tuple[IndexValue, ...]:
-    """The indices a paper list alone determines, in IndexName declaration order."""
+) -> dict[str, float]:
+    """The indices a paper list alone determines, keyed in INDEX_NAMES order.
+
+    h and g are ints; the rest are floats.
+    """
     penalty = PenaltyParams() if penalty is None else penalty
     # sorted once here, so each function's own sort is a linear pass
     citations = sorted((record.citations for record in papers), reverse=True)
-    return (
-        IndexValue(IndexName.H, float(h_index(citations))),
-        IndexValue(IndexName.G, float(g_index(citations))),
-        IndexValue(IndexName.A, a_index(citations)),
-        IndexValue(IndexName.R, r_index(citations)),
-        IndexValue(IndexName.INDIVIDUAL_H, individual_h(papers)),
-        IndexValue(IndexName.SI, scientific_impact(papers)),
-        IndexValue(IndexName.SI_PENALIZED, scientific_impact_penalized(papers, penalty)),
-    )
+    return {
+        "h": h_index(citations),
+        "g": g_index(citations),
+        "a": a_index(citations),
+        "r": r_index(citations),
+        "individual_h": individual_h(papers),
+        "si": scientific_impact(papers),
+        "si_penalized": scientific_impact_penalized(papers, penalty),
+    }
 
 
 def compute_indices(
@@ -163,12 +142,10 @@ def compute_indices(
     *,
     c_star: int = 0,
     penalty: PenaltyParams | None = None,
-) -> tuple[IndexValue, ...]:
-    """Every index for one researcher, in IndexName declaration order."""
+) -> dict[str, float]:
+    """Every index for one researcher, keyed in INDEX_NAMES order (see paper_indices)."""
     values = paper_indices(profile.papers, penalty=penalty)
     # t_index is the si value over the career years; reuse the sum
-    si = next(value.value for value in values if value.name is IndexName.SI)
-    return values + (
-        IndexValue(IndexName.T, si / profile.career_years),
-        IndexValue(IndexName.T_THRESHOLDED, t_index_thresholded(profile, c_star)),
-    )
+    values["t"] = values["si"] / profile.career_years
+    values["t_thresholded"] = t_index_thresholded(profile, c_star)
+    return values

@@ -65,26 +65,29 @@ def test_criterion_2_efficient_set_is_exactly_r6_and_r7(aggregates15):
 
 def test_criterion_3_rank_columns_reproduce_reference_exactly(aggregates15, h_values15):
     scores = ccr_all(DmuSet.from_aggregates(aggregates15))
-    dea_ranking = rank([(entry.dmu_id, entry.score) for entry in scores])
-    assert {e.id: e.rank for e in dea_ranking.entries} == EXPECTED_DEA_RANKS
+    dea_ranks = rank([entry.score for entry in scores])
+    assert dict(zip((entry.dmu_id for entry in scores), dea_ranks)) == EXPECTED_DEA_RANKS
 
-    h_ranking = rank([(label, float(h)) for label, h in h_values15.items()])
-    assert {e.id: e.rank for e in h_ranking.entries} == EXPECTED_H_RANKS
+    h_ranks = rank([float(h) for h in h_values15.values()])
+    assert dict(zip(h_values15, h_ranks)) == EXPECTED_H_RANKS
 
     # tie patterns: two researchers share rank 1 on efficiency; the h column
     # ties at ranks 6, 8, and 13
-    assert sorted(e.rank for e in dea_ranking.entries)[:3] == [1, 1, 3]
-    assert sorted(e.rank for e in h_ranking.entries) == [
+    assert sorted(dea_ranks)[:3] == [1, 1, 3]
+    assert sorted(h_ranks) == [
         1, 2, 3, 4, 5, 6, 6, 8, 8, 10, 11, 12, 13, 13, 15,
     ]
 
 
 def test_criterion_4_rank_correlations_fall_in_published_bands():
+    labels = list(EXPECTED_T_RANKS)
+
     def printed(column):
-        # reconstruct a Ranking from a printed rank column; competition
-        # ranking is idempotent on its own output, so ranks are preserved
+        # reconstruct a rank vector, in ``labels`` order, from a printed rank
+        # column; competition ranking is idempotent on its own output, so
+        # ranks are preserved
         return rank(
-            [(label, float(position)) for label, position in column.items()],
+            [float(column[label]) for label in labels],
             higher_is_better=False,
         )
 

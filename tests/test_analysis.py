@@ -1,7 +1,5 @@
 """Competition ranking, rank correlation, and report assembly."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,115 +21,79 @@ from conftest import (
 )
 
 
-def ranks_of(ranking):
-    return [entry.rank for entry in ranking.entries]
-
-
 class TestRank:
     def test_ties_share_rank_and_next_rank_skips(self):
-        ranking = rank([("a", 10.0), ("b", 8.0), ("c", 8.0), ("d", 5.0)])
-        assert ranks_of(ranking) == [1, 2, 2, 4]
+        assert rank([10.0, 8.0, 8.0, 5.0]) == (1, 2, 2, 4)
 
     def test_lower_is_better_direction(self):
-        ranking = rank(
-            [("a", 10.0), ("b", 8.0), ("c", 8.0), ("d", 5.0)],
-            higher_is_better=False,
-        )
-        assert ranks_of(ranking) == [4, 2, 2, 1]
+        assert rank([10.0, 8.0, 8.0, 5.0], higher_is_better=False) == (4, 2, 2, 1)
 
-    def test_preserves_input_order_and_scores(self):
-        ranking = rank([("x", 1.0), ("y", 3.0)])
-        assert [entry.id for entry in ranking.entries] == ["x", "y"]
-        assert [entry.score for entry in ranking.entries] == [1.0, 3.0]
-
-    def test_rank_of_lookup(self):
-        ranking = rank([("x", 1.0), ("y", 3.0)])
-        assert ranking.rank_of("y") == 1
-        with pytest.raises(AnalysisError, match="no entry"):
-            ranking.rank_of("z")
+    def test_ranks_follow_input_order(self):
+        assert rank([1.0, 3.0]) == (2, 1)
+        assert rank([3, 1]) == (1, 2)
 
     def test_nan_scores_are_rejected(self):
         with pytest.raises(AnalysisError, match="NaN"):
-            rank([("a", 1.0), ("b", float("nan"))])
+            rank([1.0, float("nan")])
 
     def test_single_entry(self):
-        assert ranks_of(rank([("a", 42.0)])) == [1]
+        assert rank([42.0]) == (1,)
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=30), st.booleans())
     def test_rank_counts_strictly_better_scores(self, values, higher_is_better):
-        scores = [(f"r{i}", float(v)) for i, v in enumerate(values)]
-        ranking = rank(scores, higher_is_better=higher_is_better)
-        for entry in ranking.entries:
+        ranks = rank([float(v) for v in values], higher_is_better=higher_is_better)
+        for value, position in zip(values, ranks):
             if higher_is_better:
-                better = sum(1 for v in values if v > entry.score)
+                better = sum(1 for v in values if v > value)
             else:
-                better = sum(1 for v in values if v < entry.score)
-            assert entry.rank == 1 + better
-        assert min(ranks_of(ranking)) == 1
-        assert max(ranks_of(ranking)) <= len(values)
+                better = sum(1 for v in values if v < value)
+            assert position == 1 + better
+        assert min(ranks) == 1
+        assert max(ranks) <= len(values)
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=30))
     def test_invariant_under_increasing_transforms(self, values):
-        scores = [(f"r{i}", float(v)) for i, v in enumerate(values)]
-        transformed = [(name, 3.0 * v + 7.0) for name, v in scores]
-        assert ranks_of(rank(scores)) == ranks_of(rank(transformed))
+        scores = [float(v) for v in values]
+        assert rank(scores) == rank([3.0 * v + 7.0 for v in scores])
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=30))
     def test_ranking_printed_ranks_is_idempotent(self, values):
-        scores = [(f"r{i}", float(v)) for i, v in enumerate(values)]
-        first = ranks_of(rank(scores))
-        again = rank(
-            [(f"r{i}", float(r)) for i, r in enumerate(first)],
-            higher_is_better=False,
-        )
-        assert ranks_of(again) == first
+        first = rank([float(v) for v in values])
+        assert rank([float(r) for r in first], higher_is_better=False) == first
 
 
 def permutation_ranking(order):
     # scores chosen so the rank vector equals the given permutation of 1..n
-    return rank([(f"p{i}", float(r)) for i, r in enumerate(order)], higher_is_better=False)
+    return rank([float(r) for r in order], higher_is_better=False)
 
 
 class TestRankCorrelation:
     def test_identical_rankings(self):
-        a = rank([("x", 3.0), ("y", 2.0), ("z", 1.0)])
+        a = rank([3.0, 2.0, 1.0])
         assert rank_correlation(a, a) == pytest.approx(1.0)
 
     def test_reversed_rankings(self):
-        a = rank([("x", 3.0), ("y", 2.0), ("z", 1.0)])
-        b = rank([("x", 1.0), ("y", 2.0), ("z", 3.0)])
+        a = rank([3.0, 2.0, 1.0])
+        b = rank([1.0, 2.0, 3.0])
         assert rank_correlation(a, b) == pytest.approx(-1.0)
 
     def test_symmetry(self):
-        a = rank([("x", 3.0), ("y", 1.0), ("z", 2.0), ("w", 2.0)])
-        b = rank([("x", 5.0), ("y", 9.0), ("z", 2.0), ("w", 4.0)])
+        a = rank([3.0, 1.0, 2.0, 2.0])
+        b = rank([5.0, 9.0, 2.0, 4.0])
         assert rank_correlation(a, b) == rank_correlation(b, a)
 
-    def test_alignment_is_by_id_not_position(self):
-        a = rank([("x", 2.0), ("y", 1.0)])
-        b = rank([("y", 1.0), ("x", 2.0)])
-        assert rank_correlation(a, b) == pytest.approx(1.0)
-
-    def test_mismatched_ids_are_rejected(self):
-        a = rank([("x", 1.0), ("y", 2.0)])
-        b = rank([("x", 1.0), ("q", 2.0)])
-        with pytest.raises(AnalysisError, match="same researcher ids"):
-            rank_correlation(a, b)
-
-    def test_duplicate_ids_are_rejected(self):
-        a = rank([("x", 1.0), ("x", 2.0)])
-        b = rank([("x", 1.0), ("y", 2.0)])
-        with pytest.raises(AnalysisError, match="exactly once"):
-            rank_correlation(a, b)
+    def test_mismatched_lengths_are_rejected(self):
+        with pytest.raises(AnalysisError, match="equal lengths, got 2 and 3"):
+            rank_correlation((1, 2), (1, 2, 3))
 
     def test_single_entry_is_rejected(self):
-        a = rank([("x", 1.0)])
+        a = rank([1.0])
         with pytest.raises(AnalysisError, match="variance"):
             rank_correlation(a, a)
 
     def test_all_tied_vector_is_rejected(self):
-        a = rank([("x", 5.0), ("y", 5.0)])
-        b = rank([("x", 1.0), ("y", 2.0)])
+        a = rank([5.0, 5.0])
+        b = rank([1.0, 2.0])
         with pytest.raises(AnalysisError, match="variance"):
             rank_correlation(a, b)
 
@@ -148,9 +110,7 @@ class TestRankCorrelation:
         a = permutation_ranking(order_a)
         b = permutation_ranking(order_b)
         n = len(order_a)
-        ranks_a = {e.id: e.rank for e in a.entries}
-        ranks_b = {e.id: e.rank for e in b.entries}
-        squared = sum((ranks_a[k] - ranks_b[k]) ** 2 for k in ranks_a)
+        squared = sum((x - y) ** 2 for x, y in zip(a, b))
         closed_form = 1.0 - 6.0 * squared / (n * (n * n - 1))
         assert rank_correlation(a, b) == pytest.approx(closed_form, abs=1e-12)
 
@@ -167,8 +127,8 @@ class TestRankCorrelation:
         values_a, values_b = score_lists
         if len(set(values_a)) < 2 or len(set(values_b)) < 2:
             return
-        a = rank([(f"p{i}", float(v)) for i, v in enumerate(values_a)])
-        b = rank([(f"p{i}", float(v)) for i, v in enumerate(values_b)])
+        a = rank([float(v) for v in values_a])
+        b = rank([float(v) for v in values_b])
         assert -1.0 <= rank_correlation(a, b) <= 1.0
 
 
@@ -201,27 +161,32 @@ class TestBuildReport:
     def test_per_paper_input_yields_every_column(self):
         report = build_report(profiles=two_profiles())
         assert report.ids == ("A1", "A2")
-        assert report.metrics == (
+        assert tuple(report.columns) == (
             "years", "coauthors", "citations",
             "h", "g", "a", "r", "individual_h",
             "si", "si_penalized", "t", "t_thresholded", "dea",
         )
-        assert report.columns["h"] == (4.0, 2.0)
-        assert report.columns["citations"] == (30.0, 30.0)
+        assert report.columns["h"] == (4, 2)
+        assert report.columns["citations"] == (30, 30)
+        assert all(
+            type(value) is int
+            for name in ("years", "coauthors", "citations", "h", "g")
+            for value in report.columns[name]
+        )
         assert set(report.rankings) == {"t", "dea", "h", "g", "a", "r"}
 
     def test_aggregate_input_yields_efficiency_only(self, aggregates15):
         report = build_report(aggregates=aggregates15)
-        assert report.metrics == ("years", "coauthors", "citations", "dea")
+        assert tuple(report.columns) == ("years", "coauthors", "citations", "dea")
         assert set(report.rankings) == {"dea"}
-        assert report.correlations.pairs == ()
+        assert report.correlations == ()
 
     def test_aggregate_input_with_h_scores(self, aggregates15, h_values15):
         report = build_report(aggregates=aggregates15, h_scores=h_values15)
-        assert report.metrics == ("years", "coauthors", "citations", "h", "dea")
-        assert {e.id: e.rank for e in report.rankings["dea"].entries} == EXPECTED_DEA_RANKS
-        assert {e.id: e.rank for e in report.rankings["h"].entries} == EXPECTED_H_RANKS
-        (pair,) = report.correlations.pairs
+        assert tuple(report.columns) == ("years", "coauthors", "citations", "h", "dea")
+        assert dict(zip(report.ids, report.rankings["dea"])) == EXPECTED_DEA_RANKS
+        assert dict(zip(report.ids, report.rankings["h"])) == EXPECTED_H_RANKS
+        (pair,) = report.correlations
         assert (pair.metric_a, pair.metric_b) == ("dea", "h")
         assert pair.coefficient == pytest.approx(0.82, abs=0.02)
 
@@ -246,23 +211,6 @@ class TestBuildReport:
         with pytest.raises(AnalysisError, match="exactly one"):
             build_report(profiles=two_profiles(), aggregates=aggregates15)
 
-    def test_unknown_metric_is_rejected(self, aggregates15):
-        with pytest.raises(AnalysisError, match="unknown metric 'hype'"):
-            build_report(aggregates=aggregates15, metrics=["hype"])
-
-    def test_per_paper_metric_on_aggregates_is_rejected(self, aggregates15):
-        with pytest.raises(AnalysisError, match="t requires per-paper records"):
-            build_report(aggregates=aggregates15, metrics=["t"])
-
-    def test_metric_subset_keeps_canonical_order(self):
-        report = build_report(profiles=two_profiles(), metrics=["t", "h", "h"])
-        assert report.metrics == ("years", "coauthors", "citations", "h", "t")
-        assert set(report.rankings) == {"t", "h"}
-
-    def test_raw_columns_survive_metric_restriction(self):
-        report = build_report(profiles=two_profiles(), metrics=["dea"])
-        assert report.columns["years"] == (4.0, 10.0)
-
     def test_index_options_flow_through(self):
         plain = build_report(profiles=two_profiles())
         filtered = build_report(profiles=two_profiles(), c_star=15)
@@ -273,12 +221,13 @@ class TestBuildReport:
         report = build_report(aggregates=aggregates15)
         scores = dict(zip(report.ids, report.columns["dea"]))
         best = max(scores.values())
-        rank_one = {e.id for e in report.rankings["dea"].entries if e.rank == 1}
+        ranks = dict(zip(report.ids, report.rankings["dea"]))
+        rank_one = {label for label, position in ranks.items() if position == 1}
         assert rank_one == {label for label, s in scores.items() if s == best}
 
     def test_reference_t_scores_reproduce_printed_ranks(self):
-        ranking = rank(list(REFERENCE_T_SCORES.items()))
-        assert {e.id: e.rank for e in ranking.entries} == EXPECTED_T_RANKS
+        ranks = rank(list(REFERENCE_T_SCORES.values()))
+        assert dict(zip(REFERENCE_T_SCORES, ranks)) == EXPECTED_T_RANKS
 
     def test_all_tied_metrics_are_skipped_in_correlations(self):
         twins = [
@@ -288,4 +237,4 @@ class TestBuildReport:
         report = build_report(aggregates=twins, h_scores={"L": 3, "M": 4})
         # both efficiency scores tie at 1.0, so the dea vector has no variance
         assert report.columns["dea"] == (1.0, 1.0)
-        assert report.correlations.pairs == ()
+        assert report.correlations == ()

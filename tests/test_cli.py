@@ -420,6 +420,28 @@ class TestDataErrors:
         assert code == 1
         assert "line 2" in err
 
+    def test_non_utf8_file_names_the_fix(self, capsys, tmp_path):
+        aggregates = tmp_path / "latin1.csv"
+        aggregates.write_bytes(b"id,years,coauthors,citations\na,1,2,\xff\n")
+        code, out, err = run(capsys, "dea", "--aggregates", str(aggregates))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {aggregates} is not UTF-8 text (byte 0xff at offset 35); "
+            "save it as UTF-8\n"
+        )
+
+    def test_all_zero_citations_name_the_fix(self, capsys, tmp_path):
+        aggregates = tmp_path / "uncited.csv"
+        aggregates.write_text("a,10,20,0\nb,5,9,0\n")
+        for command in ("dea", "report"):
+            code, out, err = run(capsys, command, "--aggregates", str(aggregates))
+            assert (code, out) == (1, "")
+            assert err == (
+                "error: at least one DMU must have a strictly positive output; "
+                "every researcher has 0 citations, so no one can be scored: "
+                "include a researcher with citations\n"
+            )
+
     def test_profile_without_papers_names_the_fix(self, capsys, tmp_path):
         profiles = tmp_path / "profiles.csv"
         papers = tmp_path / "papers.csv"

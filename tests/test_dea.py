@@ -53,6 +53,8 @@ class TestDmuSet:
     def test_needs_at_least_one_dmu(self):
         with pytest.raises(DeaError, match="at least one DMU"):
             DmuSet(ids=(), inputs=np.zeros((0, 2)), outputs=np.zeros((0, 1)))
+        with pytest.raises(DeaError, match="at least one DMU"):
+            DmuSet.from_aggregates([])
 
     def test_rejects_non_positive_inputs(self):
         with pytest.raises(DeaError, match="strictly positive"):

@@ -7,8 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from citedea import (
-    IndexName,
-    IndexValue,
+    INDEX_NAMES,
     PaperRecord,
     PenaltyParams,
     ResearcherProfile,
@@ -18,6 +17,7 @@ from citedea import (
     h_core,
     h_index,
     individual_h,
+    paper_indices,
     r_index,
     scientific_impact,
     scientific_impact_penalized,
@@ -261,21 +261,22 @@ class TestZeroCitedPaperNeutrality:
 
 
 class TestIndexValue:
-    def test_h_must_be_integral(self):
-        with pytest.raises(ValueError, match="integer"):
-            IndexValue(IndexName.H, 2.5)
-
-    def test_negative_values_are_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            IndexValue(IndexName.SI, -1.0)
+    """The index values compute_indices and paper_indices return, by name."""
 
     def test_compute_indices_covers_every_name(self):
         profile = profile_of((PaperRecord(10, 2), PaperRecord(8, 2)), years=2)
         values = compute_indices(profile, c_star=9, penalty=PenaltyParams(a=1.0, b=1))
-        assert [v.name for v in values] == list(IndexName)
-        named = {v.name: v.value for v in values}
-        assert named[IndexName.H] == 2
-        assert named[IndexName.SI] == pytest.approx(9.0)
-        assert named[IndexName.T] == pytest.approx(4.5)
-        assert named[IndexName.T_THRESHOLDED] == pytest.approx(2.5)
-        assert named[IndexName.SI_PENALIZED] == pytest.approx(9.0)
+        assert tuple(values) == INDEX_NAMES
+        assert tuple(paper_indices(profile.papers)) == INDEX_NAMES[:7]
+        assert values["h"] == 2
+        assert values["si"] == pytest.approx(9.0)
+        assert values["t"] == pytest.approx(4.5)
+        assert values["t_thresholded"] == pytest.approx(2.5)
+        assert values["si_penalized"] == pytest.approx(9.0)
+
+    @given(paper_lists)
+    def test_h_and_g_stay_ints_and_the_rest_are_floats(self, papers):
+        values = compute_indices(profile_of(papers, 3))
+        assert {name: type(value) for name, value in values.items()} == {
+            name: int if name in ("h", "g") else float for name in INDEX_NAMES
+        }
