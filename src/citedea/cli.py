@@ -350,9 +350,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     options = parser.parse_args(argv)
     try:
         _validate(options, parser)
-        output = options.handler(options)
+        # the whole text is encoded before any byte is written, so a failure leaves
+        # stdout empty
+        sys.stdout.write(options.handler(options))
+    except UnicodeEncodeError as error:
+        print(
+            f"error: cannot write {error.object[error.start]!a} to stdout, whose "
+            f"encoding is {sys.stdout.encoding}; set PYTHONIOENCODING=utf-8",
+            file=sys.stderr,
+        )
+        return 1
     except (CorpusError, DeaError, AnalysisError, OSError, ArithmeticError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    sys.stdout.write(output)
     return 0

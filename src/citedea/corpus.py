@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator
 
 
 class CorpusError(ValueError):
@@ -74,7 +74,7 @@ class DmuAggregate:
 
 
 def _records(
-    source: str | TextIO, columns: tuple[str, ...], name: str, *, unique: bool = True
+    text: str, columns: tuple[str, ...], name: str, *, unique: bool = True
 ) -> Iterator[tuple[int, str, list[int]]]:
     """Yield (line number, id, integer cells in ``columns`` order) for each data row.
 
@@ -85,10 +85,9 @@ def _records(
     any position, extra columns are ignored, and each row must match the
     header width.  Without one, rows must hold exactly the required columns
     in their documented order.  Rows are checked as they are read, so the
-    first bad line in file order is the one reported; ``unique`` rejects a
-    repeated id.
+    first bad line in file order is the one reported; an empty id is
+    rejected, and ``unique`` rejects a repeated one.
     """
-    text = source.read() if hasattr(source, "read") else source
     positions = list(range(len(columns)))
     width = len(columns)
     header = None
@@ -116,6 +115,10 @@ def _records(
                 f"{name} line {number}: expected {width} columns, got {len(cells)}"
             )
         researcher = cells[positions[0]]
+        if not researcher:
+            raise CorpusError(
+                f"{name} line {number}: id must be a non-empty string, got ''"
+            )
         if unique and researcher in seen:
             raise CorpusError(
                 f"{name} line {number}: duplicate researcher id {researcher!r}"
@@ -143,44 +146,42 @@ def _build(kind, name: str, number: int, *args):
         raise CorpusError(f"{name} line {number}: {error}") from None
 
 
-def _paper_rows(source: str | TextIO) -> Iterator[tuple[int, str, PaperRecord]]:
+def _paper_rows(text: str) -> Iterator[tuple[int, str, PaperRecord]]:
     """Yield (line number, researcher id, record) for each ``id,citations,authors`` row."""
     columns = ("id", "citations", "authors")
-    for number, researcher, values in _records(source, columns, "papers", unique=False):
+    for number, researcher, values in _records(text, columns, "papers", unique=False):
         yield number, researcher, _build(PaperRecord, "papers", number, *values)
 
 
-def parse_papers(source: str | TextIO) -> dict[str, tuple[PaperRecord, ...]]:
-    """Parse an ``id,citations,authors`` stream, grouping papers by researcher.
+def parse_papers(text: str) -> dict[str, tuple[PaperRecord, ...]]:
+    """Parse ``id,citations,authors`` CSV text, grouping papers by researcher.
 
     Researchers appear in first-occurrence order; each researcher's papers
     keep their file order.
     """
     groups: dict[str, list[PaperRecord]] = {}
-    for _, researcher, record in _paper_rows(source):
+    for _, researcher, record in _paper_rows(text):
         groups.setdefault(researcher, []).append(record)
     return {researcher: tuple(records) for researcher, records in groups.items()}
 
 
-def parse_profiles(
-    profiles_source: str | TextIO, papers_source: str | TextIO
-) -> list[ResearcherProfile]:
-    """Parse the two-file per-paper corpus into researcher profiles.
+def parse_profiles(profiles_text: str, papers_text: str) -> list[ResearcherProfile]:
+    """Parse the text of the two-file per-paper corpus into researcher profiles.
 
-    ``profiles_source`` holds one ``id,career_years`` row per researcher;
-    ``papers_source`` holds ``id,citations,authors`` rows in publication
+    ``profiles_text`` holds one ``id,career_years`` row per researcher;
+    ``papers_text`` holds ``id,citations,authors`` rows in publication
     order.  Every paper row must name a researcher declared in the profiles
-    stream.  Researchers with no paper rows are kept (they can be staged but
+    text.  Researchers with no paper rows are kept (they can be staged but
     not aggregated).
     """
     declared = {
         researcher: (number, career_years)
         for number, researcher, (career_years,) in _records(
-            profiles_source, ("id", "career_years"), "profiles"
+            profiles_text, ("id", "career_years"), "profiles"
         )
     }
     papers: dict[str, list[PaperRecord]] = {researcher: [] for researcher in declared}
-    for number, researcher, record in _paper_rows(papers_source):
+    for number, researcher, record in _paper_rows(papers_text):
         if researcher not in papers:
             raise CorpusError(
                 f"papers line {number}: unknown researcher id {researcher!r}"
@@ -192,19 +193,19 @@ def parse_profiles(
     ]
 
 
-def parse_aggregates(source: str | TextIO) -> list[DmuAggregate]:
-    """Parse an ``id,years,coauthors,citations`` stream into DMU aggregates."""
+def parse_aggregates(text: str) -> list[DmuAggregate]:
+    """Parse ``id,years,coauthors,citations`` CSV text into DMU aggregates."""
     columns = ("id", "years", "coauthors", "citations")
     return [
         _build(DmuAggregate, "aggregates", number, researcher, *values)
-        for number, researcher, values in _records(source, columns, "aggregates")
+        for number, researcher, values in _records(text, columns, "aggregates")
     ]
 
 
-def parse_h_values(source: str | TextIO) -> dict[str, int]:
-    """Parse an ``id,h`` stream into a researcher-to-h mapping."""
+def parse_h_values(text: str) -> dict[str, int]:
+    """Parse ``id,h`` CSV text into a researcher-to-h mapping."""
     values: dict[str, int] = {}
-    for number, researcher, (value,) in _records(source, ("id", "h"), "h-values"):
+    for number, researcher, (value,) in _records(text, ("id", "h"), "h-values"):
         if value < 0:
             raise CorpusError(f"h-values line {number}: h must be non-negative")
         values[researcher] = value
@@ -224,31 +225,3 @@ def aggregate(profile: ResearcherProfile) -> DmuAggregate:
         coauthors=sum(record.authors for record in profile.papers),
         citations=sum(record.citations for record in profile.papers),
     )
-
-
-def _serializable_id(researcher: str) -> str:
-    # ids are written unquoted, so the delimiter set is off limits
-    if "," in researcher or "\n" in researcher or researcher.startswith("#"):
-        raise CorpusError(f"id {researcher!r} cannot be serialized without quoting")
-    return researcher
-
-
-def profiles_to_csv(profiles: Sequence[ResearcherProfile]) -> tuple[str, str]:
-    """Serialize profiles to (profiles text, papers text), both with headers."""
-    profile_lines = ["id,career_years"]
-    paper_lines = ["id,citations,authors"]
-    for profile in profiles:
-        researcher = _serializable_id(profile.id)
-        profile_lines.append(f"{researcher},{profile.career_years}")
-        for record in profile.papers:
-            paper_lines.append(f"{researcher},{record.citations},{record.authors}")
-    return "\n".join(profile_lines) + "\n", "\n".join(paper_lines) + "\n"
-
-
-def aggregates_to_csv(aggregates: Sequence[DmuAggregate]) -> str:
-    """Serialize aggregates to CSV text with the standard header."""
-    lines = ["id,years,coauthors,citations"]
-    for item in aggregates:
-        researcher = _serializable_id(item.id)
-        lines.append(f"{researcher},{item.years},{item.coauthors},{item.citations}")
-    return "\n".join(lines) + "\n"

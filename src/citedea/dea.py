@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import DmuAggregate
-from .lp import FEASIBILITY_TOL, LinearProgram, LpStatus, Relation, solve_lp
+from .lp import FEASIBILITY_TOL, LinearProgram, LpStatus, solve_lp
 
 DEFAULT_EPSILON = 1e-6
 
@@ -140,7 +140,7 @@ def build_ccr_lp(
     return LinearProgram(
         objective=np.concatenate([dmus.outputs[target_index], np.zeros(m)]),
         constraints=np.vstack([normalization, np.hstack([dmus.outputs, -dmus.inputs])]),
-        senses=(Relation.EQ,) + (Relation.LE,) * dmus.size,
+        equalities=1,
         rhs=np.concatenate([[1.0], np.zeros(dmus.size)]),
         lower_bounds=_epsilon_bounds(epsilon, s + m),
     )
@@ -158,7 +158,7 @@ def _largest_epsilon(dmus: DmuSet, target_index: int) -> float:
     program = LinearProgram(
         objective=np.append(np.zeros(weights), 1.0),
         constraints=np.vstack([np.pad(ccr.constraints, ((0, 0), (0, 1))), caps]),
-        senses=ccr.senses + (Relation.LE,) * weights,
+        equalities=1,
         rhs=np.append(ccr.rhs, np.zeros(weights)),
         lower_bounds=np.zeros(weights + 1),
     )

@@ -18,14 +18,6 @@ PIVOT_TOL = 1e-9
 FEASIBILITY_TOL = 1e-7
 
 
-class Relation(Enum):
-    """Constraint sense."""
-
-    LE = "<="
-    EQ = "="
-    GE = ">="
-
-
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
@@ -34,15 +26,16 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """Maximize objective . x subject to constraints @ x (senses) rhs and x >= lower_bounds.
+    """Maximize objective . x subject to constraints @ x vs rhs and x >= lower_bounds.
 
     ``constraints`` is the coefficient matrix with one row per entry of
-    ``senses`` and ``rhs``.  The arrays are stored as read-only float copies.
+    ``rhs``; its first ``equalities`` rows hold with equality and the rest
+    with <=.  The arrays are stored as read-only float copies.
     """
 
     objective: np.ndarray
     constraints: np.ndarray
-    senses: tuple[Relation, ...]
+    equalities: int
     rhs: np.ndarray
     lower_bounds: np.ndarray
 
@@ -50,12 +43,11 @@ class LinearProgram:
         size = np.size(self.objective)
         if size == 0:
             raise ValueError("objective must cover at least one variable")
-        senses = tuple(Relation(sense) for sense in self.senses)
-        object.__setattr__(self, "senses", senses)
+        rows = np.size(self.rhs)
         shapes = {
             "objective": (size,),
-            "constraints": (len(senses), size),
-            "rhs": (len(senses),),
+            "constraints": (rows, size),
+            "rhs": (rows,),
             "lower_bounds": (size,),
         }
         for name, shape in shapes.items():
@@ -64,6 +56,10 @@ class LinearProgram:
                 raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+        if not isinstance(self.equalities, int) or not 0 <= self.equalities <= rows:
+            raise ValueError(
+                f"equalities must be an integer in [0, {rows}], got {self.equalities!r}"
+            )
 
     @property
     def variable_count(self) -> int:
@@ -144,9 +140,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     # one dot per row: a single matrix-vector product may sum in another order
     rhs = lp.rhs - np.array([row @ shift for row in lp.constraints])
     flip = rhs < 0
-    le = np.array([sense is Relation.LE for sense in lp.senses], dtype=bool)
-    ge = np.array([sense is Relation.GE for sense in lp.senses], dtype=bool)
-    le, ge = np.where(flip, ge, le), np.where(flip, le, ge)
+    inequality = np.arange(len(rhs)) >= lp.equalities
+    le, ge = inequality & ~flip, inequality & flip
     artificial = ~le
 
     # columns: the variables, a slack per inequality row, an artificial per

@@ -1,9 +1,13 @@
 """End-to-end command line behavior via main()."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import citedea
 from citedea import parse_aggregates
 from citedea.cli import build_parser, main
 from conftest import DATA, EXPECTED_DEA_RANKS, EXPECTED_EFFICIENCY, EXPECTED_H_RANKS
@@ -55,6 +59,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(stdout_encoding, *argv):
+    """``python -m citedea *argv`` in a child whose stdio uses ``stdout_encoding``."""
+    # the child imports the same package this test did, installed or not
+    package_root = os.path.dirname(os.path.dirname(citedea.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONIOENCODING=stdout_encoding, PYTHONPATH=path)
+    command = [sys.executable, "-m", "citedea", *argv]
+    return subprocess.run(command, capture_output=True, env=env)
 
 
 def csv_rows(text):
@@ -456,6 +470,13 @@ class TestDataErrors:
             "add paper rows for 'y' or remove it from the profiles file\n"
         )
 
+    def test_blank_id_names_the_line(self, capsys, tmp_path):
+        papers = tmp_path / "papers.csv"
+        papers.write_text("a,10,2\n,5,1\n")
+        code, out, err = run(capsys, "indices", "--papers", str(papers))
+        assert (code, out) == (1, "")
+        assert err == "error: papers line 2: id must be a non-empty string, got ''\n"
+
     def test_solver_iteration_limit_is_a_data_error(self, capsys, monkeypatch):
         def capped(program):
             raise ArithmeticError("simplex iteration limit reached")
@@ -465,3 +486,37 @@ class TestDataErrors:
         assert code == 1
         assert out == ""
         assert err == "error: simplex iteration limit reached\n"
+
+
+class TestOutputEncoding:
+    """A non-ASCII id meets the stdout encoding only when the output is written."""
+
+    @pytest.fixture
+    def aggregates(self, tmp_path):
+        path = tmp_path / "accented.csv"
+        path.write_text("zoë,1,2,3\nb,2,3,1\n", encoding="utf-8")
+        return str(path)
+
+    def test_ascii_stdout_names_the_character_and_the_fix(self, aggregates):
+        result = run_child("ascii", "dea", "--aggregates", aggregates, "--format", "csv")
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr == (
+            b"error: cannot write '\\xeb' to stdout, whose encoding is ascii; "
+            b"set PYTHONIOENCODING=utf-8\n"
+        )
+        # json escapes every non-ASCII character, so it needs no fix
+        result = run_child("ascii", "dea", "--aggregates", aggregates, "--format", "json")
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert b'"id": "zo\\u00eb"' in result.stdout
+
+    def test_utf8_stdout_writes_the_id_unchanged(self, aggregates):
+        for output_format, expected in [
+            ("table", "\nzoë      1  "),
+            ("csv", "\nzoë,1,2,3,1.0\n"),
+            ("json", '"id": "zo\\u00eb"'),
+        ]:
+            result = run_child(
+                "utf-8", "dea", "--aggregates", aggregates, "--format", output_format
+            )
+            assert (result.returncode, result.stderr) == (0, b"")
+            assert expected in result.stdout.decode("utf-8")

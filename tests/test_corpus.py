@@ -10,12 +10,10 @@ from citedea import (
     PaperRecord,
     ResearcherProfile,
     aggregate,
-    aggregates_to_csv,
     parse_aggregates,
     parse_h_values,
     parse_papers,
     parse_profiles,
-    profiles_to_csv,
 )
 
 from conftest import DATA
@@ -198,6 +196,22 @@ class TestParseHValues:
             parse_h_values("R1,-1")
 
 
+@pytest.mark.parametrize(
+    "parse, text, name",
+    [
+        (parse_papers, "a,10,2\n,5,1\n", "papers"),
+        (lambda text: parse_profiles(text, "a,10,2\n"), "a,5\n,3\n", "profiles"),
+        (parse_aggregates, "a,1,2,3\n,4,5,6\n", "aggregates"),
+        (parse_h_values, "a,3\n,4\n", "h-values"),
+    ],
+    ids=["papers", "profiles", "aggregates", "h-values"],
+)
+def test_every_parser_rejects_a_blank_id(parse, text, name):
+    with pytest.raises(CorpusError) as raised:
+        parse(text)
+    assert str(raised.value) == f"{name} line 2: id must be a non-empty string, got ''"
+
+
 class TestAggregate:
     def test_sums_papers(self):
         profile = ResearcherProfile(
@@ -237,12 +251,12 @@ class TestRoundTrip:
             ResearcherProfile(id=f"P{index}", career_years=years, papers=papers)
             for index, (years, papers) in enumerate(corpus)
         ]
-        profiles_text, papers_text = profiles_to_csv(profiles)
+        profiles_text = "id,career_years\n" + "".join(
+            f"{profile.id},{profile.career_years}\n" for profile in profiles
+        )
+        papers_text = "id,citations,authors\n" + "".join(
+            f"{profile.id},{record.citations},{record.authors}\n"
+            for profile in profiles
+            for record in profile.papers
+        )
         assert parse_profiles(profiles_text, papers_text) == profiles
-
-    def test_aggregates_round_trip(self, aggregates15):
-        assert parse_aggregates(aggregates_to_csv(aggregates15)) == aggregates15
-
-    def test_unserializable_id_is_rejected(self):
-        with pytest.raises(CorpusError, match="quoting"):
-            aggregates_to_csv([DmuAggregate(id="a,b", years=1, coauthors=1, citations=1)])

@@ -9,7 +9,6 @@ from citedea import (
     DmuAggregate,
     DmuSet,
     LpStatus,
-    Relation,
     build_ccr_lp,
     ccr_all,
     ccr_efficiency,
@@ -77,9 +76,9 @@ class TestBuildCcrLp:
     def test_structure_for_two_dmus(self):
         program = build_ccr_lp(simple_set(), 0, epsilon=1e-6)
         assert program.variable_count == 3
-        relations = list(program.senses)
-        assert relations.count(Relation.EQ) == 1
-        assert relations.count(Relation.LE) == 2
+        # the normalization row is the one = row, then a <= row per DMU
+        assert program.equalities == 1
+        assert program.constraints.shape == (3, 3)
         assert tuple(program.lower_bounds) == (1e-6, 1e-6, 1e-6)
         # objective covers only the output weights
         assert tuple(program.objective) == (10.0, 0.0, 0.0)

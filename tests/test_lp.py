@@ -6,74 +6,86 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from citedea import (
-    LinearProgram,
-    LpStatus,
-    Relation,
-    solve_lp,
-)
+from citedea import LinearProgram, LpStatus, solve_lp
 
 
-def lp(objective, constraints, lower_bounds=None):
+def lp(objective, equalities=(), inequalities=(), lower_bounds=None):
+    """The program with ``equalities`` rows (=) first, then ``inequalities`` rows (<=).
+
+    Each row is a (coefficients, right-hand side) pair.
+    """
     if lower_bounds is None:
         lower_bounds = (0.0,) * len(objective)
+    rows = [*equalities, *inequalities]
     return LinearProgram(
         objective=objective,
-        constraints=[c for c, _, _ in constraints] or np.zeros((0, len(objective))),
-        senses=[r for _, r, _ in constraints],
-        rhs=[b for _, _, b in constraints],
+        constraints=[c for c, _ in rows] or np.zeros((0, len(objective))),
+        equalities=len(equalities),
+        rhs=[b for _, b in rows],
         lower_bounds=lower_bounds,
     )
 
 
 class TestStatuses:
     def test_single_variable_optimum(self):
-        solution = solve_lp(lp([1.0], [((1.0,), Relation.LE, 3.0)]))
+        solution = solve_lp(lp([1.0], inequalities=[((1.0,), 3.0)]))
         assert solution.status is LpStatus.OPTIMAL
         assert solution.objective_value == pytest.approx(3.0)
         assert solution.variable_values == pytest.approx((3.0,))
 
     def test_missing_upper_constraint_is_unbounded(self):
-        solution = solve_lp(lp([1.0], []))
+        solution = solve_lp(lp([1.0]))
         assert solution.status is LpStatus.UNBOUNDED
         assert math.isnan(solution.objective_value)
 
     def test_empty_feasible_set_is_infeasible(self):
-        solution = solve_lp(lp([1.0], [((1.0,), Relation.LE, -1.0)]))
+        solution = solve_lp(lp([1.0], inequalities=[((1.0,), -1.0)]))
         assert solution.status is LpStatus.INFEASIBLE
 
 
 class TestConstruction:
     def test_constraint_dimension_mismatch_is_rejected(self):
         with pytest.raises(ValueError, match=r"constraints has shape \(1, 1\)"):
-            lp([1.0, 1.0], [((1.0,), Relation.LE, 1.0)])
+            lp([1.0, 1.0], inequalities=[((1.0,), 1.0)])
 
     def test_lower_bound_dimension_mismatch_is_rejected(self):
         with pytest.raises(ValueError, match="lower_bounds"):
-            lp([1.0], [], lower_bounds=(0.0, 0.0))
+            lp([1.0], lower_bounds=(0.0, 0.0))
 
     def test_empty_objective_is_rejected(self):
         with pytest.raises(ValueError, match="at least one variable"):
             LinearProgram(
-                objective=(), constraints=(), senses=(), rhs=(), lower_bounds=()
+                objective=(), constraints=(), equalities=0, rhs=(), lower_bounds=()
+            )
+
+    @pytest.mark.parametrize("equalities", [-1, 3])
+    def test_equality_count_outside_the_rows_is_rejected(self, equalities):
+        with pytest.raises(ValueError, match=r"equalities must be an integer in \[0, 2\]"):
+            LinearProgram(
+                objective=(1.0,),
+                constraints=((1.0,), (2.0,)),
+                equalities=equalities,
+                rhs=(1.0, 2.0),
+                lower_bounds=(0.0,),
             )
 
 
 class TestMechanics:
     def test_equality_row(self):
-        solution = solve_lp(lp([1.0, 1.0], [((1.0, 1.0), Relation.EQ, 1.0)]))
+        solution = solve_lp(lp([1.0, 1.0], equalities=[((1.0, 1.0), 1.0)]))
         assert solution.status is LpStatus.OPTIMAL
         assert solution.objective_value == pytest.approx(1.0)
 
     def test_ge_row(self):
-        solution = solve_lp(lp([-1.0], [((1.0,), Relation.GE, 2.0)]))
+        # x >= 2 is held as -x <= -2
+        solution = solve_lp(lp([-1.0], inequalities=[((-1.0,), -2.0)]))
         assert solution.status is LpStatus.OPTIMAL
         assert solution.objective_value == pytest.approx(-2.0)
         assert solution.variable_values == pytest.approx((2.0,))
 
     def test_lower_bounds_shift_the_optimum(self):
         solution = solve_lp(
-            lp([-1.0], [((1.0,), Relation.LE, 3.0)], lower_bounds=(0.5,))
+            lp([-1.0], inequalities=[((1.0,), 3.0)], lower_bounds=(0.5,))
         )
         assert solution.variable_values == pytest.approx((0.5,))
         assert solution.objective_value == pytest.approx(-0.5)
@@ -82,11 +94,8 @@ class TestMechanics:
         solution = solve_lp(
             lp(
                 [1.0, 1.0],
-                [
-                    ((1.0, 1.0), Relation.EQ, 1.0),
-                    ((2.0, 2.0), Relation.EQ, 2.0),
-                    ((1.0, 0.0), Relation.LE, 0.25),
-                ],
+                equalities=[((1.0, 1.0), 1.0), ((2.0, 2.0), 2.0)],
+                inequalities=[((1.0, 0.0), 0.25)],
             )
         )
         assert solution.status is LpStatus.OPTIMAL
@@ -96,10 +105,10 @@ class TestMechanics:
         solution = solve_lp(
             lp(
                 [3.0, 5.0],
-                [
-                    ((1.0, 0.0), Relation.LE, 4.0),
-                    ((0.0, 2.0), Relation.LE, 12.0),
-                    ((3.0, 2.0), Relation.LE, 18.0),
+                inequalities=[
+                    ((1.0, 0.0), 4.0),
+                    ((0.0, 2.0), 12.0),
+                    ((3.0, 2.0), 18.0),
                 ],
             )
         )
@@ -109,27 +118,31 @@ class TestMechanics:
 
 def random_program(rng):
     variables = rng.integers(1, 5)
-    constraints = []
+    equalities, inequalities = [], []
     for _ in range(rng.integers(1, 6)):
         coefficients = tuple(rng.integers(-4, 5) * 1.0 for _ in range(variables))
-        relation = (Relation.LE, Relation.GE, Relation.EQ)[rng.integers(0, 3)]
-        constraints.append((coefficients, relation, float(rng.integers(-6, 10))))
+        relation = ("<=", ">=", "=")[rng.integers(0, 3)]
+        rhs = float(rng.integers(-6, 10))
+        if relation == "=":
+            equalities.append((coefficients, rhs))
+        elif relation == ">=":
+            inequalities.append((tuple(-c for c in coefficients), -rhs))
+        else:
+            inequalities.append((coefficients, rhs))
     objective = tuple(rng.integers(-5, 6) * 1.0 for _ in range(variables))
     bounds = tuple(float(rng.integers(0, 3)) * 0.5 for _ in range(variables))
-    return lp(objective, constraints, bounds)
+    return lp(objective, equalities, inequalities, bounds)
 
 
 def scipy_reference(program):
-    relations = program.senses
+    split = program.equalities
     matrix = program.constraints
     rhs = program.rhs
-    le = [i for i, r in enumerate(relations) if r is Relation.LE]
-    ge = [i for i, r in enumerate(relations) if r is Relation.GE]
-    eq = [i for i, r in enumerate(relations) if r is Relation.EQ]
-    a_ub = np.vstack([matrix[le], -matrix[ge]]) if le or ge else None
-    b_ub = np.concatenate([rhs[le], -rhs[ge]]) if le or ge else None
-    a_eq = matrix[eq] if eq else None
-    b_eq = rhs[eq] if eq else None
+    has_ub = split < len(rhs)
+    a_ub = matrix[split:] if has_ub else None
+    b_ub = rhs[split:] if has_ub else None
+    a_eq = matrix[:split] if split else None
+    b_eq = rhs[:split] if split else None
     return linprog(
         c=-np.array(program.objective),
         A_ub=a_ub,
@@ -171,14 +184,10 @@ class TestAgainstScipy:
             checked += 1
             values = np.array(solution.variable_values)
             assert np.all(values >= np.array(program.lower_bounds) - 1e-9)
-            for row, relation, rhs in zip(
-                program.constraints, program.senses, program.rhs
-            ):
+            for index, (row, rhs) in enumerate(zip(program.constraints, program.rhs)):
                 activity = float(np.dot(row, values))
-                if relation is Relation.LE:
+                if index >= program.equalities:
                     assert activity <= rhs + 1e-7
-                elif relation is Relation.GE:
-                    assert activity >= rhs - 1e-7
                 else:
                     assert activity == pytest.approx(rhs, abs=1e-7)
         assert checked > 10
@@ -188,12 +197,9 @@ class TestDeterminism:
     def test_identical_programs_solve_identically(self):
         program = lp(
             [2.0, 1.0, 3.0],
-            [
-                ((1.0, 1.0, 1.0), Relation.LE, 10.0),
-                ((1.0, -1.0, 2.0), Relation.GE, 2.0),
-                ((0.0, 1.0, 1.0), Relation.EQ, 4.0),
-            ],
-            (0.1, 0.0, 0.2),
+            equalities=[((0.0, 1.0, 1.0), 4.0)],
+            inequalities=[((1.0, 1.0, 1.0), 10.0), ((-1.0, 1.0, -2.0), -2.0)],
+            lower_bounds=(0.1, 0.0, 0.2),
         )
         first = solve_lp(program)
         second = solve_lp(program)
