@@ -220,9 +220,14 @@ def frontier(dmus: DmuSet) -> list[str]:
                 f"DMU {dmus.ids[index]!r} has no output; its per-output point is undefined"
             )
     points = dmus.inputs / output[:, None]
-    # a point never strictly beats itself, so it need not be left out
-    return [
-        label
-        for label, point in zip(dmus.ids, points)
-        if not np.any(np.all(points <= point, axis=1) & np.any(points < point, axis=1))
-    ]
+    # a point's dominators all come before it in lexicographic order, and each
+    # dominated point has a dominator on the frontier, so every point is
+    # tested against the frontier points found before it only
+    kept = np.zeros(dmus.size, dtype=bool)
+    front = points[:0]
+    for index in np.lexsort(points.T[::-1]):
+        point = points[index]
+        if not np.any(np.all(front <= point, axis=1) & np.any(front < point, axis=1)):
+            kept[index] = True
+            front = np.vstack([front, point])
+    return [label for label, on_front in zip(dmus.ids, kept) if on_front]

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import reduce
+from itertools import compress
+from operator import add, truediv
+from typing import Iterable, Sequence
 
 from .corpus import PaperRecord, ResearcherProfile
 
@@ -34,8 +37,9 @@ def h_index(citations: Sequence[int]) -> int:
     """Largest h such that at least h entries are h or more."""
     best = 0
     for position, count in enumerate(sorted(citations, reverse=True), start=1):
-        if count >= position:
-            best = position
+        if count < position:
+            break  # the counts only fall from here on
+        best = position
     return best
 
 
@@ -45,8 +49,9 @@ def g_index(citations: Sequence[int]) -> int:
     total = 0
     for position, count in enumerate(sorted(citations, reverse=True), start=1):
         total += count
-        if total >= position * position:
-            best = position
+        if total < position * position:
+            break  # total - position**2 moves by count - (2 * position - 1), which only falls
+        best = position
     return best
 
 
@@ -64,26 +69,60 @@ def r_index(citations: Sequence[int]) -> float:
     return math.sqrt(sum(sorted(citations, reverse=True)[:h]))
 
 
+def _core(citations: Sequence[int], h: int) -> list[int]:
+    """Positions of the ``h`` most cited papers; equally cited papers keep their input order."""
+    # sorted() stays stable with reverse=True, so ties keep their input order
+    return sorted(range(len(citations)), key=citations.__getitem__, reverse=True)[:h]
+
+
+def _counts(papers: Sequence[PaperRecord]) -> tuple[list[int], list[int]]:
+    """The citation and author counts of ``papers``, as two aligned lists."""
+    return [record.citations for record in papers], [record.authors for record in papers]
+
+
 def h_core(papers: Sequence[PaperRecord]) -> tuple[PaperRecord, ...]:
     """The h most cited papers; equally cited papers keep their input order."""
-    # sorted() is stable, so the negated key breaks citation ties by position;
-    # h_index's own sort is then a linear pass over the descending counts
-    ranked = sorted(papers, key=lambda record: -record.citations)
-    return tuple(ranked[: h_index([record.citations for record in ranked])])
+    citations = _counts(papers)[0]
+    return tuple(papers[position] for position in _core(citations, h_index(citations)))
+
+
+def _individual_h(citations: Sequence[int], authors: Sequence[int], h: int) -> float:
+    if h == 0:
+        return 0.0
+    mean_authors = sum(map(authors.__getitem__, _core(citations, h))) / h
+    return h / mean_authors
 
 
 def individual_h(papers: Sequence[PaperRecord]) -> float:
     """h divided by the mean author count of the h-core papers; 0 when h is 0."""
-    core = h_core(papers)
-    if not core:
-        return 0.0
-    mean_authors = sum(record.authors for record in core) / len(core)
-    return len(core) / mean_authors
+    citations, authors = _counts(papers)
+    return _individual_h(citations, authors, h_index(citations))
+
+
+def _impact(citations: Iterable[int], authors: Iterable[int]) -> float:
+    # summed in paper order, so the float is the same for every caller
+    return float(sum(map(truediv, citations, authors)))
 
 
 def scientific_impact(papers: Sequence[PaperRecord]) -> float:
     """Citation sum with every paper's count divided by its author count."""
-    return float(sum(record.citations / record.authors for record in papers))
+    return _impact(*_counts(papers))
+
+
+def _impact_penalized(
+    citations: Iterable[int], authors: Iterable[int], params: PenaltyParams
+) -> float:
+    a, b = params.a, params.b
+    if a == 0.0:
+        # no author is charged, so every paper's citations count undivided
+        terms = map(float, citations)
+    else:
+        terms = [
+            cited / (1.0 + a * (count - b)) if count > b else cited
+            for cited, count in zip(citations, authors)
+        ]
+    # summed one term at a time from 0.0, in paper order
+    return reduce(add, terms, 0.0)
 
 
 def scientific_impact_penalized(
@@ -94,26 +133,41 @@ def scientific_impact_penalized(
     Papers with at most ``b`` authors contribute their citations undivided;
     the rest contribute citations / (1 + a * (authors - b)).
     """
-    total = 0.0
-    for record in papers:
-        if record.authors > params.b:
-            total += record.citations / (1.0 + params.a * (record.authors - params.b))
-        else:
-            total += record.citations
-    return total
+    return _impact_penalized(*_counts(papers), params)
 
 
 def t_index(profile: ResearcherProfile) -> float:
     """Scientific impact averaged over the researcher's career years."""
-    return scientific_impact(profile.papers) / profile.career_years
+    return _impact(profile.citations, profile.authors) / profile.career_years
 
 
 def t_index_thresholded(profile: ResearcherProfile, c_star: int) -> float:
     """Like t_index, but only papers with at least ``c_star`` citations count."""
     if not isinstance(c_star, int) or c_star < 0:
         raise ValueError(f"c_star must be a non-negative integer, got {c_star!r}")
-    qualifying = [record for record in profile.papers if record.citations >= c_star]
-    return scientific_impact(qualifying) / profile.career_years
+    citations, authors = profile.citations, profile.authors
+    if c_star > 0:  # every count is at least 0, so 0 keeps every paper
+        qualifying = [cited >= c_star for cited in citations]
+        citations, authors = compress(citations, qualifying), compress(authors, qualifying)
+    return _impact(citations, authors) / profile.career_years
+
+
+def _paper_indices(
+    citations: Sequence[int], authors: Sequence[int], penalty: PenaltyParams | None
+) -> dict[str, float]:
+    penalty = PenaltyParams() if penalty is None else penalty
+    # sorted once here, so each function's own sort is a linear pass
+    ranked = sorted(citations, reverse=True)
+    h = h_index(ranked)
+    return {
+        "h": h,
+        "g": g_index(ranked),
+        "a": a_index(ranked),
+        "r": r_index(ranked),
+        "individual_h": _individual_h(citations, authors, h),
+        "si": _impact(citations, authors),
+        "si_penalized": _impact_penalized(citations, authors, penalty),
+    }
 
 
 def paper_indices(
@@ -123,18 +177,7 @@ def paper_indices(
 
     h and g are ints; the rest are floats.
     """
-    penalty = PenaltyParams() if penalty is None else penalty
-    # sorted once here, so each function's own sort is a linear pass
-    citations = sorted((record.citations for record in papers), reverse=True)
-    return {
-        "h": h_index(citations),
-        "g": g_index(citations),
-        "a": a_index(citations),
-        "r": r_index(citations),
-        "individual_h": individual_h(papers),
-        "si": scientific_impact(papers),
-        "si_penalized": scientific_impact_penalized(papers, penalty),
-    }
+    return _paper_indices(*_counts(papers), penalty)
 
 
 def compute_indices(
@@ -144,7 +187,7 @@ def compute_indices(
     penalty: PenaltyParams | None = None,
 ) -> dict[str, float]:
     """Every index for one researcher, keyed in INDEX_NAMES order (see paper_indices)."""
-    values = paper_indices(profile.papers, penalty=penalty)
+    values = _paper_indices(profile.citations, profile.authors, penalty)
     # t_index is the si value over the career years; reuse the sum
     values["t"] = values["si"] / profile.career_years
     values["t_thresholded"] = t_index_thresholded(profile, c_star)

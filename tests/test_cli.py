@@ -477,6 +477,20 @@ class TestDataErrors:
         assert (code, out) == (1, "")
         assert err == "error: papers line 2: id must be a non-empty string, got ''\n"
 
+    def test_count_beyond_64_bits_names_the_line(self, capsys, tmp_path):
+        profiles = tmp_path / "profiles.csv"
+        papers = tmp_path / "papers.csv"
+        profiles.write_text("a,5\n")
+        papers.write_text("a,10,2\na," + "9" * 401 + ",1\n")
+        for command in ("indices", "report"):
+            code, out, err = run(
+                capsys, command, "--profiles", str(profiles), "--papers", str(papers)
+            )
+            assert (code, out) == (1, "")
+            assert err == (
+                "error: papers line 2: citations must be at most 9223372036854775807\n"
+            )
+
     def test_solver_iteration_limit_is_a_data_error(self, capsys, monkeypatch):
         def capped(program):
             raise ArithmeticError("simplex iteration limit reached")

@@ -58,6 +58,17 @@ class TestTypes:
         )
         assert isinstance(profile.papers, tuple)
 
+    def test_profile_keeps_its_papers_as_count_tuples(self):
+        papers = [PaperRecord(12, 3), PaperRecord(0, 1)]
+        profile = ResearcherProfile(id="X", career_years=2, papers=papers)
+        assert (profile.citations, profile.authors) == ((12, 0), (3, 1))
+        assert profile.papers == tuple(papers)
+        assert parse_profiles("X,2", "X,12,3\nX,0,1") == [profile]
+
+    def test_profile_rejects_non_record_papers(self):
+        with pytest.raises(ValueError, match="PaperRecord"):
+            ResearcherProfile(id="X", career_years=1, papers=[(1, 1)])
+
     def test_aggregate_rejects_zero_coauthors(self):
         with pytest.raises(ValueError, match="coauthors"):
             DmuAggregate(id="X", years=1, coauthors=0, citations=5)
@@ -210,6 +221,27 @@ def test_every_parser_rejects_a_blank_id(parse, text, name):
     with pytest.raises(CorpusError) as raised:
         parse(text)
     assert str(raised.value) == f"{name} line 2: id must be a non-empty string, got ''"
+
+
+@pytest.mark.parametrize(
+    "parse, text, name, column",
+    [
+        (parse_papers, f"a,10,2\nb,{2**63},1\n", "papers", "citations"),
+        (lambda text: parse_profiles(text, "a,10,2\n"), f"a,5\nb,{2**63}\n", "profiles",
+         "career_years"),
+        (parse_aggregates, f"a,1,2,3\nb,4,{2**63},6\n", "aggregates", "coauthors"),
+        (parse_h_values, f"a,3\nb,{10**400}\n", "h-values", "h"),
+    ],
+    ids=["papers", "profiles", "aggregates", "h-values"],
+)
+def test_every_parser_rejects_a_count_beyond_64_bits(parse, text, name, column):
+    with pytest.raises(CorpusError) as raised:
+        parse(text)
+    assert str(raised.value) == f"{name} line 2: {column} must be at most 9223372036854775807"
+
+
+def test_the_largest_64_bit_count_is_accepted():
+    assert parse_papers(f"a,{2**63 - 1},1\n")["a"] == (PaperRecord(2**63 - 1, 1),)
 
 
 class TestAggregate:

@@ -26,6 +26,21 @@ def simple_set():
     )
 
 
+def brute_force_frontier(dmus):
+    """Plain-loop definition: keep a point unless some other point is <= in
+    every coordinate and < in at least one."""
+    points = [tuple(dmus.inputs[i] / dmus.outputs[i, 0]) for i in range(dmus.size)]
+    return [
+        dmus.ids[i]
+        for i, p in enumerate(points)
+        if not any(
+            all(a <= b for a, b in zip(q, p)) and any(a < b for a, b in zip(q, p))
+            for j, q in enumerate(points)
+            if j != i
+        )
+    ]
+
+
 def assert_feasible_weights(dmus, target, score, epsilon):
     """The weights satisfy every row of the target's full program."""
     u = np.array(score.output_weights)
@@ -285,27 +300,6 @@ class TestFrontier:
             assert scores[label] == pytest.approx(1.0, abs=1e-4)
 
     def test_matches_brute_force_minimality_on_random_sets(self):
-        # plain-loop oracle: keep a point unless some other point is <= in
-        # every coordinate and < in at least one
-        def oracle(dmus):
-            points = [
-                tuple(dmus.inputs[i] / dmus.outputs[i, 0]) for i in range(dmus.size)
-            ]
-            kept = []
-            for i, p in enumerate(points):
-                dominated = False
-                for j, q in enumerate(points):
-                    if i == j:
-                        continue
-                    if all(a <= b for a, b in zip(q, p)) and any(
-                        a < b for a, b in zip(q, p)
-                    ):
-                        dominated = True
-                        break
-                if not dominated:
-                    kept.append(dmus.ids[i])
-            return kept
-
         rng = np.random.default_rng(99)
         for _ in range(50):
             size = int(rng.integers(2, 9))
@@ -314,7 +308,22 @@ class TestFrontier:
                 inputs=rng.integers(1, 8, size=(size, 2)).astype(float),
                 outputs=rng.integers(5, 40, size=(size, 1)).astype(float),
             )
-            assert frontier(dmus) == oracle(dmus)
+            assert frontier(dmus) == brute_force_frontier(dmus)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_brute_force_with_duplicates_and_ties(self, seed):
+        rng = np.random.default_rng([607, seed])
+        inputs = int(rng.integers(1, 4))
+        pool = rng.integers(1, 6, size=(int(rng.integers(1, 8)), inputs)).astype(float)
+        pool[:, 0] = rng.integers(1, 3, size=len(pool))  # ties in the first coordinate
+        size = int(rng.integers(1, 80))
+        picks = rng.integers(0, len(pool), size=size)  # repeated picks are duplicate points
+        dmus = DmuSet(
+            ids=tuple(f"D{i}" for i in range(size)),
+            inputs=pool[picks],
+            outputs=np.ones((size, 1)),
+        )
+        assert frontier(dmus) == brute_force_frontier(dmus)
 
     def test_efficient_dmus_stay_undominated(self):
         # the converse fails in general (an undominated point may still sit

@@ -260,7 +260,7 @@ class TestZeroCitedPaperNeutrality:
         )
 
 
-class TestIndexValue:
+class TestIndexMapping:
     """The index values compute_indices and paper_indices return, by name."""
 
     def test_compute_indices_covers_every_name(self):
