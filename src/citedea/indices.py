@@ -75,13 +75,15 @@ def _core(citations: Sequence[int], h: int) -> list[int]:
     return sorted(range(len(citations)), key=citations.__getitem__, reverse=True)[:h]
 
 
-def _counts(papers: Sequence[PaperRecord]) -> tuple[list[int], list[int]]:
+def _counts(papers: Iterable[PaperRecord]) -> tuple[list[int], list[int]]:
     """The citation and author counts of ``papers``, as two aligned lists."""
+    papers = tuple(papers)  # a one-shot iterable is read once
     return [record.citations for record in papers], [record.authors for record in papers]
 
 
-def h_core(papers: Sequence[PaperRecord]) -> tuple[PaperRecord, ...]:
+def h_core(papers: Iterable[PaperRecord]) -> tuple[PaperRecord, ...]:
     """The h most cited papers; equally cited papers keep their input order."""
+    papers = tuple(papers)
     citations = _counts(papers)[0]
     return tuple(papers[position] for position in _core(citations, h_index(citations)))
 
@@ -93,7 +95,7 @@ def _individual_h(citations: Sequence[int], authors: Sequence[int], h: int) -> f
     return h / mean_authors
 
 
-def individual_h(papers: Sequence[PaperRecord]) -> float:
+def individual_h(papers: Iterable[PaperRecord]) -> float:
     """h divided by the mean author count of the h-core papers; 0 when h is 0."""
     citations, authors = _counts(papers)
     return _individual_h(citations, authors, h_index(citations))
@@ -104,7 +106,7 @@ def _impact(citations: Iterable[int], authors: Iterable[int]) -> float:
     return float(sum(map(truediv, citations, authors)))
 
 
-def scientific_impact(papers: Sequence[PaperRecord]) -> float:
+def scientific_impact(papers: Iterable[PaperRecord]) -> float:
     """Citation sum with every paper's count divided by its author count."""
     return _impact(*_counts(papers))
 
@@ -113,20 +115,16 @@ def _impact_penalized(
     citations: Iterable[int], authors: Iterable[int], params: PenaltyParams
 ) -> float:
     a, b = params.a, params.b
-    if a == 0.0:
-        # no author is charged, so every paper's citations count undivided
-        terms = map(float, citations)
-    else:
-        terms = [
-            cited / (1.0 + a * (count - b)) if count > b else cited
-            for cited, count in zip(citations, authors)
-        ]
+    terms = (
+        cited / (1.0 + a * (count - b)) if count > b else cited
+        for cited, count in zip(citations, authors)
+    )
     # summed one term at a time from 0.0, in paper order
     return reduce(add, terms, 0.0)
 
 
 def scientific_impact_penalized(
-    papers: Sequence[PaperRecord], params: PenaltyParams
+    papers: Iterable[PaperRecord], params: PenaltyParams
 ) -> float:
     """Citation sum where authors above ``b`` are charged at slope ``a``.
 
@@ -145,10 +143,9 @@ def t_index_thresholded(profile: ResearcherProfile, c_star: int) -> float:
     """Like t_index, but only papers with at least ``c_star`` citations count."""
     if not isinstance(c_star, int) or c_star < 0:
         raise ValueError(f"c_star must be a non-negative integer, got {c_star!r}")
-    citations, authors = profile.citations, profile.authors
-    if c_star > 0:  # every count is at least 0, so 0 keeps every paper
-        qualifying = [cited >= c_star for cited in citations]
-        citations, authors = compress(citations, qualifying), compress(authors, qualifying)
+    qualifying = [cited >= c_star for cited in profile.citations]
+    citations = compress(profile.citations, qualifying)
+    authors = compress(profile.authors, qualifying)
     return _impact(citations, authors) / profile.career_years
 
 
@@ -171,7 +168,7 @@ def _paper_indices(
 
 
 def paper_indices(
-    papers: Sequence[PaperRecord], *, penalty: PenaltyParams | None = None
+    papers: Iterable[PaperRecord], *, penalty: PenaltyParams | None = None
 ) -> dict[str, float]:
     """The indices a paper list alone determines, keyed in INDEX_NAMES order.
 

@@ -280,3 +280,24 @@ class TestIndexMapping:
         assert {name: type(value) for name, value in values.items()} == {
             name: int if name in ("h", "g") else float for name in INDEX_NAMES
         }
+
+
+class TestOneShotIterables:
+    """The paper-list functions read a generator once and give the list's answer."""
+
+    @given(paper_lists, st.floats(min_value=0.0, max_value=5.0), st.integers(1, 4))
+    def test_generator_gives_the_list_value(self, papers, a, b):
+        params = PenaltyParams(a=a, b=b)
+        assert scientific_impact(iter(papers)) == scientific_impact(papers)
+        assert scientific_impact_penalized(iter(papers), params) == (
+            scientific_impact_penalized(papers, params)
+        )
+        assert individual_h(iter(papers)) == individual_h(papers)
+        assert h_core(iter(papers)) == h_core(papers)
+        assert paper_indices(iter(papers), penalty=params) == paper_indices(
+            papers, penalty=params
+        )
+
+    def test_generator_of_cited_papers_is_not_empty(self):
+        papers = [PaperRecord(4, 2), PaperRecord(3, 1)]
+        assert scientific_impact(record for record in papers) == 5.0

@@ -51,8 +51,9 @@ def run_cli(capsys, tmp_path, command, drawn, *options):
     return papers.read_text(), captured.out
 
 
-def test_indices_on_2000_researchers_pass_the_checker(bench, capsys, tmp_path):
+def test_indices_on_2000_researchers_pass_the_checker(bench, capsys, tmp_path, monkeypatch):
     corpora, check = bench
+    monkeypatch.setattr(corpus, "_CHUNK_CHARS", 1 << 17)
     drawn = corpora.generate(np.random.default_rng([8, 0]), 2000)
     papers, out = run_cli(capsys, tmp_path, "indices", drawn, "--format", "csv")
     assert len(papers) > corpus._CHUNK_CHARS  # the reader sees more than one chunk
