@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from citedea import (
     AnalysisError,
     DmuAggregate,
-    PaperRecord,
     ResearcherProfile,
     build_report,
     rank,
@@ -137,22 +136,14 @@ def two_profiles():
         ResearcherProfile(
             id="A1",
             career_years=4,
-            papers=[
-                PaperRecord(citations=10, authors=2),
-                PaperRecord(citations=8, authors=2),
-                PaperRecord(citations=5, authors=1),
-                PaperRecord(citations=4, authors=3),
-                PaperRecord(citations=3, authors=2),
-            ],
+            citations=(10, 8, 5, 4, 3),
+            authors=(2, 2, 1, 3, 2),
         ),
         ResearcherProfile(
             id="A2",
             career_years=10,
-            papers=[
-                PaperRecord(citations=20, authors=2),
-                PaperRecord(citations=10, authors=1),
-                PaperRecord(citations=0, authors=4),
-            ],
+            citations=(20, 10, 0),
+            authors=(2, 1, 4),
         ),
     ]
 

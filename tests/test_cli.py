@@ -491,6 +491,17 @@ class TestDataErrors:
                 "error: papers line 2: citations must be at most 9223372036854775807\n"
             )
 
+    def test_form_feed_does_not_end_a_line(self, capsys, tmp_path):
+        profiles = tmp_path / "profiles.csv"
+        papers = tmp_path / "papers.csv"
+        profiles.write_text("a,3\nb,3\n")
+        papers.write_text("a,5,1\x0cb,3,4\n")
+        code, out, err = run(
+            capsys, "indices", "--profiles", str(profiles), "--papers", str(papers)
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: papers line 1: expected 3 columns, got 5\n"
+
     def test_solver_iteration_limit_is_a_data_error(self, capsys, monkeypatch):
         def capped(program):
             raise ArithmeticError("simplex iteration limit reached")

@@ -1,5 +1,7 @@
 """Parsing, validation, aggregation, and round-trip behavior of the corpus module."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,6 +33,12 @@ def paper_lists():
     )
 
 
+def profile_of(id, years, papers):
+    return ResearcherProfile(
+        id, years, [paper.citations for paper in papers], [paper.authors for paper in papers]
+    )
+
+
 class TestTypes:
     def test_paper_record_rejects_negative_citations(self):
         with pytest.raises(ValueError, match="citations"):
@@ -53,21 +61,50 @@ class TestTypes:
             ResearcherProfile(id="X", career_years=0)
 
     def test_profile_papers_become_a_tuple(self):
-        profile = ResearcherProfile(
-            id="X", career_years=2, papers=[PaperRecord(1, 1)]
-        )
+        profile = ResearcherProfile(id="X", career_years=2, citations=[1], authors=[1])
         assert isinstance(profile.papers, tuple)
 
     def test_profile_keeps_its_papers_as_count_tuples(self):
         papers = [PaperRecord(12, 3), PaperRecord(0, 1)]
-        profile = ResearcherProfile(id="X", career_years=2, papers=papers)
+        profile = ResearcherProfile(
+            id="X", career_years=2, citations=iter([12, 0]), authors=[3, 1]
+        )
         assert (profile.citations, profile.authors) == ((12, 0), (3, 1))
         assert profile.papers == tuple(papers)
         assert parse_profiles("X,2", "X,12,3\nX,0,1") == [profile]
 
-    def test_profile_rejects_non_record_papers(self):
-        with pytest.raises(ValueError, match="PaperRecord"):
-            ResearcherProfile(id="X", career_years=1, papers=[(1, 1)])
+    def test_replace_builds_a_checked_profile(self):
+        profile = ResearcherProfile("X", 12, (310, 95), (2, 3))
+        older = dataclasses.replace(profile, career_years=13)
+        assert older == ResearcherProfile("X", 13, (310, 95), (2, 3))
+        assert dataclasses.asdict(older) == {
+            "id": "X", "career_years": 13, "citations": (310, 95), "authors": (2, 3)
+        }
+        with pytest.raises(ValueError) as raised:
+            dataclasses.replace(profile, citations=(310, -1))
+        assert str(raised.value) == "citations must be a non-negative integer, got -1"
+
+    def test_profile_rejects_mismatched_count_lengths(self):
+        with pytest.raises(ValueError) as raised:
+            ResearcherProfile("X", 1, citations=(1, 2), authors=(1,))
+        assert str(raised.value) == (
+            "citations and authors must hold one count per paper, got 2 and 1"
+        )
+
+    @pytest.mark.parametrize(
+        "citations, authors, message",
+        [
+            ((4, 1.5), (1, 1), "citations must be a non-negative integer, got 1.5"),
+            ((4, 2, -3), (1, 0, 1), "authors must be a positive integer, got 0"),
+            ((4, 2, -3), (1, 1, 0), "citations must be a non-negative integer, got -3"),
+            ((4,), ("2",), "authors must be a positive integer, got '2'"),
+        ],
+        ids=["float-citation", "zero-authors", "negative-citation", "string-authors"],
+    )
+    def test_profile_names_its_first_bad_count(self, citations, authors, message):
+        with pytest.raises(ValueError) as raised:
+            ResearcherProfile("X", 1, citations, authors)
+        assert str(raised.value) == message
 
     def test_aggregate_rejects_zero_coauthors(self):
         with pytest.raises(ValueError, match="coauthors"):
@@ -240,21 +277,41 @@ def test_every_parser_rejects_a_count_beyond_64_bits(parse, text, name, column):
     assert str(raised.value) == f"{name} line 2: {column} must be at most 9223372036854775807"
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_papers, "a,10,2\nb,-1,1\n",
+         "papers line 2: citations must be a non-negative integer, got -1"),
+        (parse_papers, "a,10,2\nb,1,0\n",
+         "papers line 2: authors must be a positive integer, got 0"),
+        (lambda text: parse_profiles(text, "a,10,2\n"), "a,5\nb,0\n",
+         "profiles line 2: career_years must be a positive integer, got 0"),
+        (parse_aggregates, "a,1,2,3\nb,0,5,6\n",
+         "aggregates line 2: years must be a positive integer, got 0"),
+        (parse_h_values, "a,3\nb,-1\n",
+         "h-values line 2: h must be a non-negative integer, got -1"),
+    ],
+    ids=["papers-citations", "papers-authors", "profiles", "aggregates", "h-values"],
+)
+def test_every_parser_rejects_a_count_below_its_bound(parse, text, message):
+    with pytest.raises(CorpusError) as raised:
+        parse(text)
+    assert str(raised.value) == message
+
+
 def test_the_largest_64_bit_count_is_accepted():
     assert parse_papers(f"a,{2**63 - 1},1\n")["a"] == (PaperRecord(2**63 - 1, 1),)
 
 
 class TestAggregate:
     def test_sums_papers(self):
-        profile = ResearcherProfile(
-            id="X", career_years=4, papers=(PaperRecord(10, 2), PaperRecord(5, 3))
-        )
+        profile = ResearcherProfile(id="X", career_years=4, citations=(10, 5), authors=(2, 3))
         assert aggregate(profile) == DmuAggregate(
             id="X", years=4, coauthors=5, citations=15
         )
 
     def test_zero_citation_corpus(self):
-        profile = ResearcherProfile(id="X", career_years=1, papers=(PaperRecord(0, 1),))
+        profile = ResearcherProfile(id="X", career_years=1, citations=(0,), authors=(1,))
         assert aggregate(profile) == DmuAggregate(id="X", years=1, coauthors=1, citations=0)
 
     def test_zero_papers_is_an_error(self):
@@ -263,10 +320,8 @@ class TestAggregate:
 
     @given(papers=paper_lists(), years=st.integers(min_value=1, max_value=60))
     def test_permutation_invariance(self, papers, years):
-        forward = aggregate(ResearcherProfile(id="X", career_years=years, papers=papers))
-        backward = aggregate(
-            ResearcherProfile(id="X", career_years=years, papers=list(reversed(papers)))
-        )
+        forward = aggregate(profile_of("X", years, papers))
+        backward = aggregate(profile_of("X", years, list(reversed(papers))))
         assert forward == backward
 
 
@@ -280,7 +335,7 @@ class TestRoundTrip:
     )
     def test_profiles_round_trip(self, corpus):
         profiles = [
-            ResearcherProfile(id=f"P{index}", career_years=years, papers=papers)
+            profile_of(f"P{index}", years, papers)
             for index, (years, papers) in enumerate(corpus)
         ]
         profiles_text = "id,career_years\n" + "".join(

@@ -54,7 +54,12 @@ def oracle_g(citations):
 
 
 def profile_of(papers, years=1):
-    return ResearcherProfile(id="X", career_years=years, papers=papers)
+    return ResearcherProfile(
+        id="X",
+        career_years=years,
+        citations=[paper.citations for paper in papers],
+        authors=[paper.authors for paper in papers],
+    )
 
 
 class TestH:

@@ -14,26 +14,32 @@ from hypothesis import strategies as st
 
 from citedea import CorpusError, corpus, parse_papers, parse_profiles
 
-PAPER_COLUMNS = ("id", "citations", "authors")
+PAPER_BOUNDS = {"citations": 0, "authors": 1}
 
 
-def chunked(text, columns=PAPER_COLUMNS, name="papers", unique=False):
+def chunked(text, bounds=PAPER_BOUNDS, name="papers", unique=False):
     """(rows, first error) from the chunked reader."""
     rows = []
     try:
-        for numbers, ids, counts in corpus._records(text, columns, name, unique=unique):
+        for numbers, ids, counts in corpus._records(text, bounds, name, unique=unique):
             rows += zip(numbers, ids, *counts)
     except CorpusError as error:
         return rows, str(error)
     return rows, None
 
 
-def by_line(text, columns=PAPER_COLUMNS, name="papers", unique=False):
+def lines_of(text):
+    """The physical lines of ``text``: only \\n, \\r\\n and \\r end one."""
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    return text.removesuffix("\n").split("\n")
+
+
+def by_line(text, bounds=PAPER_BOUNDS, name="papers", unique=False):
     """(rows, first error) from the per-line loop alone over the whole text."""
-    reader = corpus._Reader(columns, name, unique)
+    reader = corpus._Reader(bounds, name, unique)
     rows = []
     try:
-        for numbers, ids, counts in reader.by_line(text.removeprefix("\ufeff").splitlines(), 1):
+        for numbers, ids, counts in reader.by_line(lines_of(text), 1):
             rows += zip(numbers, ids, *counts)
         if not reader.rows:
             raise CorpusError(f"{name}: no records")
@@ -64,6 +70,10 @@ GOOD_PROFILES = "".join(f"r{index:03d},{1 + index % 30}\n" for index in range(99
 EXPLICIT = {
     "bom": "\ufeffid,citations,authors\na,1,2\n",
     "crlf": "id,citations,authors\r\na,1,2\r\nb,3,4\r\n",
+    "cr": "id,citations,authors\ra,1,2\rb,3,4\r",
+    "form-feed-inside-a-line": "a,5,1\x0cb,3,4\n",
+    "line-separator-inside-a-line": "a,5,1\u2028b,3,4\n",
+    "vertical-tab-around-cells": "\x0ba,\x1c5,1\x1d\n\x1eb,3,4\x0c\n",
     "comments-and-blank-lines": "# head\n\nid,citations,authors\n# mid\na,1,2\n\n",
     "whitespace": "id , citations,authors\n a ,1 , 2\n\tb,3,4\t\n",
     "reordered-extra-columns": "id,extra,authors,citations\na,x,2,1\nb,,4,3\n",
@@ -114,9 +124,9 @@ def test_parsers_match_the_per_line_loop(text):
     ids=["duplicate-id", "duplicate-id-past-a-chunk-boundary", "zero-years", "header"],
 )
 def test_profiles_match_the_per_line_loop(profiles):
-    columns = ("id", "career_years")
-    assert chunked(profiles, columns, "profiles", True) == by_line(
-        profiles, columns, "profiles", True
+    bounds = {"career_years": 1}
+    assert chunked(profiles, bounds, "profiles", True) == by_line(
+        profiles, bounds, "profiles", True
     )
     fast = parsed(parse_profiles, profiles, GOOD)
     with without_fast_path():
@@ -138,10 +148,13 @@ CELLS = st.one_of(
     st.integers(min_value=0, max_value=10**6).map(str),
     st.sampled_from(
         ["0", "007", "+5", "1_000", "٣", "-4", "", "x", " 12 ", "9" * 19,
-         str(2**63 - 1), str(2**63), "1 #"]
+         str(2**63 - 1), str(2**63), "1 #", "\x0b3", "4\x0c", "\x1c5\x1d", "6\x1e",
+         "7\x0c8"]
     ),
 )
-IDS = st.sampled_from(["a", "b", "c", "d", "", " a ", "é", "#a"])
+IDS = st.sampled_from(
+    ["a", "b", "c", "d", "", " a ", "é", "#a", "\x0ba", "a\x0c", "\x1cb\x1e", "c\x1d"]
+)
 HEADERS = st.sampled_from(
     [None, "id,citations,authors", "id,authors,citations,extra", "ID, Citations ,authors",
      "id,citations"]
@@ -155,11 +168,11 @@ def csv_texts(draw):
     rows = st.tuples(IDS, st.lists(CELLS, min_size=width - 1, max_size=width - 1)).map(
         lambda row: ",".join([row[0], *row[1]])
     )
-    other = st.sampled_from(["", "# note", "   ", "a,1", "a,1,2,3,4"])
+    other = st.sampled_from(["", "# note", "   ", "a,1", "a,1,2,3,4", "a,1,2\x0cb,3,4", "\x1e"])
     lines = draw(st.lists(st.one_of(rows, rows, rows, other), max_size=30))
     if header is not None:
         lines.insert(draw(st.integers(min_value=0, max_value=min(2, len(lines)))), header)
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     bom = draw(st.sampled_from(["", "\ufeff"]))
     return bom + ending.join(lines) + draw(st.sampled_from(["", ending]))
 
