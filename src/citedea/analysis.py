@@ -11,7 +11,7 @@ import numpy as np
 
 from .corpus import DmuAggregate, ResearcherProfile, aggregate
 from .dea import DEFAULT_EPSILON, DmuSet, ccr_all
-from .indices import INDEX_NAMES, PenaltyParams, compute_indices
+from .indices import PenaltyParams, index_table
 
 
 class AnalysisError(ValueError):
@@ -108,10 +108,7 @@ def build_report(
         "citations": tuple(item.citations for item in aggregates),
     }
     if profiles is not None:
-        table = [
-            compute_indices(profile, c_star=c_star, penalty=penalty) for profile in profiles
-        ]
-        columns.update({name: tuple(row[name] for row in table) for name in INDEX_NAMES})
+        columns.update(index_table(profiles, c_star=c_star, penalty=penalty))
     elif h_scores is not None:
         missing = [label for label in ids if label not in h_scores]
         if missing:

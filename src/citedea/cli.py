@@ -12,14 +12,15 @@ from typing import Sequence
 from .analysis import AnalysisError, MetricReport, build_report
 from .corpus import (
     CorpusError,
+    ResearcherProfile,
+    _paper_columns,
     aggregate,
     parse_aggregates,
     parse_h_values,
-    parse_papers,
     parse_profiles,
 )
 from .dea import DEFAULT_EPSILON, DeaError, DmuSet, ccr_all, frontier
-from .indices import PenaltyParams, compute_indices, paper_indices
+from .indices import INDEX_NAMES, PenaltyParams, index_table
 
 def _cell(value, float_format: str) -> str:
     """Render one cell; floats use ``float_format`` ("" is the shortest round-trip form)."""
@@ -94,22 +95,22 @@ def _penalty(options) -> PenaltyParams:
 
 def _cmd_indices(options) -> str:
     papers_text = _read(options.papers)
-    penalty = _penalty(options)
     if options.profiles is not None:
-        table = [
-            (profile.id, compute_indices(profile, c_star=options.c_star, penalty=penalty))
-            for profile in parse_profiles(_read(options.profiles), papers_text)
-        ]
+        profiles = parse_profiles(_read(options.profiles), papers_text)
+        names = INDEX_NAMES
     else:
-        # without career years only the per-list indices are computable
-        table = [
-            (researcher, paper_indices(papers, penalty=penalty))
-            for researcher, papers in parse_papers(papers_text).items()
+        # without career years only the first seven indices are computable;
+        # the 1 only fills the career-years slot of the t columns left out
+        profiles = [
+            ResearcherProfile(researcher, 1, *counts)
+            for researcher, counts in _paper_columns(papers_text).items()
         ]
-    # the parsers reject empty input, so the table has a first row to name the columns
-    headers = ["id", *table[0][1]]
-    rows = [[label, *values.values()] for label, values in table]
-    return _emit(headers, rows, options.format)
+        names = INDEX_NAMES[:7]
+    table = index_table(profiles, c_star=options.c_star, penalty=_penalty(options))
+    rows = list(zip([profile.id for profile in profiles], *(table[name] for name in names)))
+    # the rows hold what the output needs; drop the paper counts before rendering
+    del profiles, table
+    return _emit(["id", *names], rows, options.format)
 
 
 def _cmd_dea(options) -> str:

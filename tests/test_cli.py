@@ -491,6 +491,23 @@ class TestDataErrors:
                 "error: papers line 2: citations must be at most 9223372036854775807\n"
             )
 
+    def test_total_beyond_64_bits_names_the_researcher(self, capsys, tmp_path):
+        profiles = tmp_path / "profiles.csv"
+        papers = tmp_path / "papers.csv"
+        profiles.write_text("b,5\na,5\n")
+        papers.write_text(f"b,3,1\na,{2**63 - 1},2\na,{2**63 - 1},1\n")
+        for argv in (
+            ("indices", "--profiles", str(profiles), "--papers", str(papers)),
+            ("indices", "--papers", str(papers)),
+            ("report", "--profiles", str(profiles), "--papers", str(papers)),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == (
+                "error: researcher 'a': citations must total at most 9223372036854775807, "
+                "got 18446744073709551614\n"
+            )
+
     def test_form_feed_does_not_end_a_line(self, capsys, tmp_path):
         profiles = tmp_path / "profiles.csv"
         papers = tmp_path / "papers.csv"

@@ -1,13 +1,18 @@
 """Citation index values, edge conventions, and invariant properties."""
 
 import math
+from functools import reduce
+from itertools import compress
+from operator import add, truediv
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from citedea import (
     INDEX_NAMES,
+    CorpusError,
     PaperRecord,
     PenaltyParams,
     ResearcherProfile,
@@ -16,6 +21,7 @@ from citedea import (
     g_index,
     h_core,
     h_index,
+    index_table,
     individual_h,
     paper_indices,
     r_index,
@@ -24,6 +30,7 @@ from citedea import (
     t_index,
     t_index_thresholded,
 )
+from citedea import indices
 
 citation_lists = st.lists(st.integers(min_value=0, max_value=20), max_size=12)
 paper_lists = st.lists(
@@ -205,10 +212,12 @@ class TestScientificImpactPenalized:
         assert value == pytest.approx(sum(p.citations for p in papers))
 
     def test_params_validation(self):
-        with pytest.raises(ValueError, match="a must"):
+        with pytest.raises(ValueError, match=r"^a must be non-negative, got -0\.1$"):
             PenaltyParams(a=-0.1, b=1)
-        with pytest.raises(ValueError, match="b must"):
+        with pytest.raises(ValueError, match=r"^b must be a positive integer, got 0$"):
             PenaltyParams(a=0.0, b=0)
+        with pytest.raises(ValueError, match=r"^b must be a positive integer, got 1\.5$"):
+            PenaltyParams(a=0.0, b=1.5)
 
 
 class TestT:
@@ -239,8 +248,11 @@ class TestTThresholded:
         assert t_index_thresholded(profile, 61) == 0.0
 
     def test_negative_threshold_is_rejected(self):
-        with pytest.raises(ValueError, match="c_star"):
+        message = r"^c_star must be a non-negative integer, got -1$"
+        with pytest.raises(ValueError, match=message):
             t_index_thresholded(profile_of((PaperRecord(1, 1),)), -1)
+        with pytest.raises(ValueError, match=message):
+            index_table([], c_star=-1)
 
     @given(paper_lists, st.integers(min_value=1, max_value=40))
     def test_non_increasing_in_threshold(self, papers, years):
@@ -306,3 +318,145 @@ class TestOneShotIterables:
     def test_generator_of_cited_papers_is_not_empty(self):
         papers = [PaperRecord(4, 2), PaperRecord(3, 1)]
         assert scientific_impact(record for record in papers) == 5.0
+
+
+def oracle_indices(profile, c_star, penalty):
+    """Every index of one profile by the per-profile formulas index_table replaced."""
+    citations, authors = profile.citations, profile.authors
+    ranked = sorted(citations, reverse=True)
+    h = 0
+    for position, count in enumerate(ranked, start=1):
+        if count < position:
+            break
+        h = position
+    g = 0
+    total = 0
+    for position, count in enumerate(ranked, start=1):
+        total += count
+        if total < position * position:
+            break
+        g = position
+    # sorted() stays stable with reverse=True, so ties keep their input order
+    core = sorted(range(len(citations)), key=citations.__getitem__, reverse=True)[:h]
+    # sum() adds floats one at a time up to Python 3.11 and compensates from
+    # 3.12 on; reduce keeps the one-at-a-time order on every version
+    si = reduce(add, map(truediv, citations, authors), 0.0)
+    penalized = (
+        cited / (1.0 + penalty.a * (count - penalty.b)) if count > penalty.b else cited
+        for cited, count in zip(citations, authors)
+    )
+    kept = [cited >= c_star for cited in citations]
+    kept_si = reduce(add, map(truediv, compress(citations, kept), compress(authors, kept)), 0.0)
+    return {
+        "h": h,
+        "g": g,
+        "a": sum(ranked[:h]) / h if h else 0.0,
+        "r": math.sqrt(sum(ranked[:h])),
+        "individual_h": h / (sum(map(authors.__getitem__, core)) / h) if h else 0.0,
+        "si": si,
+        "si_penalized": reduce(add, penalized, 0.0),
+        "t": si / profile.career_years,
+        "t_thresholded": kept_si / profile.career_years,
+    }
+
+
+# small counts tie often and hold uncited papers; large ones pass 2**53, where
+# float64 stops holding every integer, while 8 papers still total below 2**63
+cited_counts = st.one_of(st.integers(0, 20), st.integers(0, 2**59))
+author_counts = st.one_of(st.integers(1, 8), st.integers(1, 2**59))
+
+
+@st.composite
+def profile_lists(draw):
+    profiles = []
+    for number in range(draw(st.integers(0, 8))):
+        papers = draw(st.integers(0, 8))
+        profiles.append(
+            ResearcherProfile(
+                id=f"p{number}",
+                career_years=draw(st.one_of(st.integers(1, 40), st.integers(1, 2**64))),
+                citations=draw(st.lists(cited_counts, min_size=papers, max_size=papers)),
+                authors=draw(st.lists(author_counts, min_size=papers, max_size=papers)),
+            )
+        )
+    return profiles
+
+
+class TestIndexTable:
+    """index_table against the per-profile oracle, value for value under repr."""
+
+    @given(
+        profile_lists(),
+        st.integers(1, 12),
+        st.one_of(st.integers(0, 25), st.integers(0, 2**70)),
+        st.builds(
+            PenaltyParams,
+            a=st.one_of(st.floats(0.0, 5.0), st.floats(min_value=0.0)),
+            b=st.one_of(st.integers(1, 10), st.integers(1, 2**70)),
+        ),
+    )
+    def test_matches_the_oracle_across_chunks(self, profiles, chunk_papers, c_star, penalty):
+        # chunks of at most 1 to 12 papers: profiles of up to 8 papers spread over
+        # several chunks, and some are larger than a chunk on their own
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(indices, "_CHUNK_PAPERS", chunk_papers)
+            table = index_table(profiles, c_star=c_star, penalty=penalty)
+        assert tuple(table) == INDEX_NAMES
+        expected = [oracle_indices(profile, c_star, penalty) for profile in profiles]
+        for name, column in table.items():
+            assert list(map(repr, column)) == [repr(values[name]) for values in expected]
+
+    def test_a_chunk_total_beyond_64_bits_is_not_a_researcher_total(self, monkeypatch):
+        # the chunk's citations total 2**64 - 2, but each researcher's fits in int64
+        monkeypatch.setattr(indices, "_CHUNK_PAPERS", 2)
+        largest = 2**63 - 1
+        profiles = [
+            ResearcherProfile(id=label, career_years=3, citations=[largest], authors=[largest])
+            for label in ("x", "y")
+        ]
+        table = index_table(profiles, c_star=2**62, penalty=PenaltyParams(a=0.5, b=2))
+        for position, profile in enumerate(profiles):
+            expected = oracle_indices(profile, 2**62, PenaltyParams(a=0.5, b=2))
+            assert {name: repr(table[name][position]) for name in INDEX_NAMES} == {
+                name: repr(value) for name, value in expected.items()
+            }
+
+    def test_impact_sums_add_one_paper_at_a_time(self):
+        citations = [4, 18, 27, 25, 24, 2, 8, 3, 15]
+        authors = [7, 4, 4, 6, 4, 7, 2, 1, 4]
+        profile = ResearcherProfile(id="X", career_years=1, citations=citations, authors=authors)
+        shares = list(map(truediv, citations, authors))
+        # numpy's pairwise sum and the exact sum both round these nine shares differently
+        assert float(np.sum(shares)) == math.fsum(shares) == 33.023809523809526
+        table = index_table([profile])
+        assert (table["si"], table["t"], table["t_thresholded"]) == ((33.02380952380952,),) * 3
+
+    def test_counts_beyond_2_53_are_divided_as_ints(self):
+        cited = 2**59 - 9
+        profile = ResearcherProfile(id="X", career_years=1, citations=[cited], authors=[5])
+        # float64 rounds the count to 2**59 - 8 first, which moves the quotient by one ulp
+        assert float(np.float64(cited) / 5) != cited / 5
+        assert index_table([profile])["si"] == (cited / 5,)
+
+    def test_no_profiles_give_empty_columns(self):
+        assert index_table([]) == {name: () for name in INDEX_NAMES}
+
+    @pytest.mark.parametrize(
+        "citations, authors, column, total",
+        [
+            ([2**63], [1], "citations", 2**63),
+            ([2**62, 2**62], [1, 1], "citations", 2**63),
+            ([1, 1], [2**62, 2**62 + 5], "authors", 2**63 + 5),
+        ],
+        ids=["count-beyond-64-bits", "citation-total", "author-total"],
+    )
+    def test_totals_beyond_64_bits_name_the_researcher(self, citations, authors, column, total):
+        profiles = [
+            ResearcherProfile(id="ok", career_years=1, citations=[3], authors=[1]),
+            ResearcherProfile(id="big", career_years=1, citations=citations, authors=authors),
+        ]
+        with pytest.raises(CorpusError) as caught:
+            index_table(profiles)
+        assert str(caught.value) == (
+            f"researcher 'big': {column} must total at most 9223372036854775807, got {total}"
+        )

@@ -60,6 +60,17 @@ def test_indices_on_2000_researchers_pass_the_checker(bench, capsys, tmp_path, m
     assert check.check_indices_csv(out, drawn, check.reference_indices(drawn)) == []
 
 
+def test_papers_alone_print_the_first_seven_profile_columns(bench, capsys, tmp_path):
+    corpora, _ = bench
+    drawn = corpora.generate(np.random.default_rng([8, 0]), 2000)
+    _, out = run_cli(capsys, tmp_path, "indices", drawn, "--format", "csv")
+    assert main(["indices", "--papers", str(tmp_path / "papers.csv"), "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    first_seven = "".join(",".join(line.split(",")[:8]) + "\n" for line in out.splitlines())
+    assert captured.out == first_seven
+
+
 def test_report_on_a_tied_ray_passes_the_checker(bench, capsys, tmp_path):
     corpora, check = bench
     drawn = corpora.with_ray(np.random.default_rng([8, 1]), 100)
