@@ -12,15 +12,14 @@ from typing import Sequence
 from .analysis import AnalysisError, MetricReport, build_report
 from .corpus import (
     CorpusError,
-    ResearcherProfile,
-    _paper_columns,
     aggregate,
     parse_aggregates,
     parse_h_values,
+    parse_paper_columns,
     parse_profiles,
 )
 from .dea import DEFAULT_EPSILON, DeaError, DmuSet, ccr_all, frontier
-from .indices import INDEX_NAMES, PenaltyParams, index_table
+from .indices import PenaltyParams, index_table
 
 def _cell(value, float_format: str) -> str:
     """Render one cell; floats use ``float_format`` ("" is the shortest round-trip form)."""
@@ -46,11 +45,19 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_column(values: Sequence) -> list[str]:
+    """Render one column as _cell does with the "" format, a whole column at a time."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return list(map(repr, values))  # format(x, "") of a float is repr(x)
+    if kinds <= {str, int}:
+        return list(map(str, values))
+    return [_cell(value, "") for value in values]
+
+
 def _render_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    lines = [",".join(headers)]
-    for row in rows:
-        lines.append(",".join(_cell(value, "") for value in row))
-    return "\n".join(lines) + "\n"
+    columns = [_csv_column(column) for column in zip(*rows)]
+    return "\n".join([",".join(headers), *map(",".join, zip(*columns))]) + "\n"
 
 
 def _json_rows(headers: Sequence[str], rows: Sequence[Sequence]) -> list[dict]:
@@ -95,22 +102,14 @@ def _penalty(options) -> PenaltyParams:
 
 def _cmd_indices(options) -> str:
     papers_text = _read(options.papers)
-    if options.profiles is not None:
-        profiles = parse_profiles(_read(options.profiles), papers_text)
-        names = INDEX_NAMES
-    else:
-        # without career years only the first seven indices are computable;
-        # the 1 only fills the career-years slot of the t columns left out
-        profiles = [
-            ResearcherProfile(researcher, 1, *counts)
-            for researcher, counts in _paper_columns(papers_text).items()
-        ]
-        names = INDEX_NAMES[:7]
-    table = index_table(profiles, c_star=options.c_star, penalty=_penalty(options))
-    rows = list(zip([profile.id for profile in profiles], *(table[name] for name in names)))
-    # the rows hold what the output needs; drop the paper counts before rendering
-    del profiles, table
-    return _emit(["id", *names], rows, options.format)
+    profiles_text = None if options.profiles is None else _read(options.profiles)
+    # without career years, index_table gives only the first seven indices
+    papers = parse_paper_columns(papers_text, profiles_text)
+    table = index_table(papers, c_star=options.c_star, penalty=_penalty(options))
+    rows = list(zip(papers.ids, *table.values()))
+    # the rows hold what the output needs; drop the input before rendering
+    del papers_text, papers
+    return _emit(["id", *table], rows, options.format)
 
 
 def _cmd_dea(options) -> str:

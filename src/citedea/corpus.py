@@ -3,14 +3,17 @@
 Only ``\\n``, ``\\r\\n`` and ``\\r`` end a line.  The CSV reader cuts a file
 into chunks of about 64 KiB, split at newlines, and reads a plain chunk
 column by column: one split into lines, one split into cells, a width check
-by comma count and one ``map(int, ...)``, ``max`` and ``min`` per integer
-column.  A chunk holding anything else (non-ASCII text, comments, blank
+by comma count, then one ``np.array(..., dtype=np.int64)`` and one ``min``
+per integer column.  numpy parses each cell as ``int()`` does and raises
+OverflowError for a count beyond int64, so no pass looks for counts above
+2**63-1.  A chunk holding anything else (non-ASCII text, comments, blank
 lines, whitespace, a bad cell, a count out of range, an empty or repeated
 id) is re-read by the per-line loop ``_Reader.by_line``.  That loop is the
 only source of error text, so the first bad line in file order is the one
-reported.  A count below its bound is reported as ``<column> must be a
-positive integer, got <value>`` (or ``non-negative``), by the reader and by
-the constructors of the public types alike.
+reported.  Both paths yield int64 columns.  A count below its bound is
+reported as ``<column> must be a positive integer, got <value>`` (or
+``non-negative``), by the reader and by the constructors of the public types
+alike.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from dataclasses import dataclass
 from itertools import groupby, repeat
 from typing import Iterator, Sequence
 
+import numpy as np
+
 _MAX_COUNT = 2**63 - 1  # the largest count any cell may hold
 # parse time is flat from 16 KiB to 512 KiB chunks; larger ones only raise peak memory
 _CHUNK_CHARS = 1 << 16
@@ -26,8 +31,8 @@ _CHUNK_CHARS = 1 << 16
 # a chunk holding any of them is read line by line
 _NOT_PLAIN = " \t\x0b\x0c\x1c\x1d\x1e\x1f#"
 
-# line numbers, ids, then one integer column per bounded column
-_Block = tuple[Sequence[int], list[str], list[Sequence[int]]]
+# line numbers, ids, then one int64 column per bounded column
+_Block = tuple[Sequence[int], list[str], list[np.ndarray]]
 
 
 class CorpusError(ValueError):
@@ -44,6 +49,16 @@ def _check_count(name: str, value: object, low: int) -> None:
     if not isinstance(value, int) or value < low:
         kind = "positive" if low else "non-negative"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
+def _total(researcher: str, name: str, counts: Sequence[int]) -> int:
+    """The sum of a researcher's ``name`` counts; CorpusError if above 2**63-1."""
+    total = sum(counts)
+    if total > _MAX_COUNT:
+        raise CorpusError(
+            f"researcher {researcher!r}: {name} must total at most {_MAX_COUNT}, got {total}"
+        )
+    return total
 
 
 @dataclass(frozen=True)
@@ -188,7 +203,7 @@ class _Reader:
             error = CorpusError(f"{self.name} line {number}: {fault}")
         if rows:
             self.rows += len(rows)
-            yield numbers, ids, [list(column) for column in zip(*rows)]
+            yield numbers, ids, [np.array(column, dtype=np.int64) for column in zip(*rows)]
         if error is not None:
             raise error
 
@@ -209,15 +224,15 @@ class _Reader:
             if len(distinct) < len(ids) or not distinct.isdisjoint(self.seen):
                 return None
         try:
-            # a cell with no whitespace gives int() what by_line gives it
+            # numpy parses a cell with no whitespace as int() does in by_line,
+            # and a count beyond int64 raises OverflowError
             columns = [
-                list(map(int, cells[position :: self.width])) for position in self.positions[1:]
+                np.array(cells[position :: self.width], dtype=np.int64)
+                for position in self.positions[1:]
             ]
-        except ValueError:
+        except (ValueError, OverflowError):
             return None
-        if max(map(max, columns)) > _MAX_COUNT or any(
-            min(column) < low for column, low in zip(columns, self.bounds.values())
-        ):
+        if any(column.min() < low for column, low in zip(columns, self.bounds.values())):
             return None
         if self.unique:
             self.seen |= distinct
@@ -260,32 +275,78 @@ def _records(
         raise CorpusError(f"{name}: no records")
 
 
-def _paper_columns(
-    text: str, declared: dict[str, int] | None = None
-) -> dict[str, tuple[list[int], list[int]]]:
-    """Group ``id,citations,authors`` rows into (citations, authors) lists per researcher.
+@dataclass(frozen=True)
+class PaperColumns:
+    """Every researcher's papers as flat int64 columns, grouped by researcher.
 
-    Researchers appear in first-occurrence order, after the keys of
-    ``declared`` when it is given; then every id must be one of its keys.
-    Each researcher's papers keep their file order.
+    Researcher ``ids[i]`` has ``sizes[i]`` papers.  ``citations`` and
+    ``authors`` hold one count per paper, researcher after researcher, each
+    researcher's papers in file order.  ``years`` holds each researcher's
+    career years, or is None when only paper rows were read.
     """
-    groups = {researcher: ([], []) for researcher in declared or ()}
+
+    ids: list[str]
+    sizes: np.ndarray
+    citations: np.ndarray
+    authors: np.ndarray
+    years: list[int] | None = None
+
+    def split(self, column: np.ndarray) -> list[list[int]]:
+        """``column``, one of the paper columns, cut into one int list per researcher."""
+        values = column.tolist()
+        ends = np.cumsum(self.sizes).tolist()
+        return [values[end - size : end] for size, end in zip(self.sizes.tolist(), ends)]
+
+
+def _paper_columns(papers_text: str, profiles_text: str | None = None) -> PaperColumns:
+    """Read ``id,citations,authors`` rows, and ``id,career_years`` rows if given.
+
+    Researchers appear in profile order when ``profiles_text`` is given, and
+    then every paper row must name one of them; otherwise in first-occurrence
+    order.  Each researcher's papers keep their file order.
+    """
+    ids: list[str] = []
+    years = None
+    if profiles_text is not None:
+        years = []
+        for _, block, (column,) in _records(profiles_text, {"career_years": 1}, "profiles"):
+            ids += block
+            years += column.tolist()
+    codes = {researcher: code for code, researcher in enumerate(ids)}
+    owners, lengths, citations, authors = [], [], [], []
     bounds = {"citations": 0, "authors": 1}
-    for numbers, ids, (citations, authors) in _records(text, bounds, "papers", unique=False):
-        if declared is not None and not declared.keys() >= set(ids):
-            number, researcher = next(
-                row for row in zip(numbers, ids) if row[1] not in declared
-            )
-            raise CorpusError(f"papers line {number}: unknown researcher id {researcher!r}")
+    for numbers, block, (cited, counts) in _records(papers_text, bounds, "papers", unique=False):
         start = 0
-        # a researcher's rows are usually contiguous, so copy them a run at a time
-        for researcher, run in groupby(ids):
-            end = start + len(list(run))
-            cited, counts = groups.setdefault(researcher, ([], []))
-            cited += citations[start:end]
-            counts += authors[start:end]
-            start = end
-    return groups
+        # a researcher's rows are usually contiguous, so code them a run at a time
+        for researcher, run in groupby(block):
+            if years is not None and researcher not in codes:
+                raise CorpusError(
+                    f"papers line {numbers[start]}: unknown researcher id {researcher!r}"
+                )
+            owners.append(codes.setdefault(researcher, len(codes)))
+            lengths.append(len(list(run)))
+            start += lengths[-1]
+        citations.append(cited)
+        authors.append(counts)
+    citations, authors = np.concatenate(citations), np.concatenate(authors)
+    if np.any(np.diff(owners) < 0):  # rows not grouped by researcher in code order
+        order = np.argsort(np.repeat(owners, lengths), kind="stable")
+        citations, authors = citations[order], authors[order]
+    sizes = np.zeros(len(codes), dtype=np.int64)
+    np.add.at(sizes, owners, lengths)
+    return PaperColumns(list(codes), sizes, citations, authors, years)
+
+
+def parse_paper_columns(papers_text: str, profiles_text: str | None = None) -> PaperColumns:
+    """Parse paper CSV text, and profile CSV text if given, into one PaperColumns.
+
+    This is the form ``index_table`` reads: ``index_table(parse_paper_columns(
+    papers, profiles))`` gives every index without building a profile per
+    researcher, and without ``profiles_text`` it gives the first seven.
+    """
+    # the other parsers call _paper_columns, so a span traced around each
+    # public parser never holds another one
+    return _paper_columns(papers_text, profiles_text)
 
 
 def parse_papers(text: str) -> dict[str, tuple[PaperRecord, ...]]:
@@ -294,10 +355,9 @@ def parse_papers(text: str) -> dict[str, tuple[PaperRecord, ...]]:
     Researchers appear in first-occurrence order; each researcher's papers
     keep their file order.
     """
-    return {
-        researcher: tuple(map(PaperRecord, citations, authors))
-        for researcher, (citations, authors) in _paper_columns(text).items()
-    }
+    papers = _paper_columns(text)
+    pairs = zip(papers.ids, papers.split(papers.citations), papers.split(papers.authors))
+    return {researcher: tuple(map(PaperRecord, *counts)) for researcher, *counts in pairs}
 
 
 def parse_profiles(profiles_text: str, papers_text: str) -> list[ResearcherProfile]:
@@ -309,14 +369,9 @@ def parse_profiles(profiles_text: str, papers_text: str) -> list[ResearcherProfi
     text.  Researchers with no paper rows are kept (they can be staged but
     not aggregated).
     """
-    declared: dict[str, int] = {}
-    for _, ids, (years,) in _records(profiles_text, {"career_years": 1}, "profiles"):
-        declared.update(zip(ids, years))
-    papers = _paper_columns(papers_text, declared)
-    return [
-        ResearcherProfile(researcher, years, *papers[researcher])
-        for researcher, years in declared.items()
-    ]
+    papers = _paper_columns(papers_text, profiles_text)
+    counts = papers.split(papers.citations), papers.split(papers.authors)
+    return list(map(ResearcherProfile, papers.ids, papers.years, *counts))
 
 
 def parse_aggregates(text: str) -> list[DmuAggregate]:
@@ -325,7 +380,7 @@ def parse_aggregates(text: str) -> list[DmuAggregate]:
     return [
         DmuAggregate(researcher, *values)
         for _, ids, counts in _records(text, bounds, "aggregates")
-        for researcher, *values in zip(ids, *counts)
+        for researcher, *values in zip(ids, *(column.tolist() for column in counts))
     ]
 
 
@@ -333,12 +388,15 @@ def parse_h_values(text: str) -> dict[str, int]:
     """Parse ``id,h`` CSV text into a researcher-to-h mapping."""
     values: dict[str, int] = {}
     for _, ids, (column,) in _records(text, {"h": 0}, "h-values"):
-        values.update(zip(ids, column))
+        values.update(zip(ids, column.tolist()))
     return values
 
 
 def aggregate(profile: ResearcherProfile) -> DmuAggregate:
-    """Collapse a profile into its (years, coauthors, citations) DMU triple."""
+    """Collapse a profile into its (years, coauthors, citations) DMU triple.
+
+    Its citations and its authors must each total at most 2**63-1.
+    """
     if not profile.citations:
         raise CorpusError(
             f"researcher {profile.id!r} has no papers to aggregate; add paper rows "
@@ -347,6 +405,6 @@ def aggregate(profile: ResearcherProfile) -> DmuAggregate:
     return DmuAggregate(
         id=profile.id,
         years=profile.career_years,
-        coauthors=sum(profile.authors),
-        citations=sum(profile.citations),
+        citations=_total(profile.id, "citations", profile.citations),
+        coauthors=_total(profile.id, "authors", profile.authors),
     )

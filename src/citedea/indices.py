@@ -1,9 +1,11 @@
 """Per-researcher citation indices.
 
-``index_table`` is the one definition of every index in INDEX_NAMES: it
-computes them for a whole list of profiles, a bounded chunk of papers at a
-time.  Every other function here builds a one-researcher table and selects
-a value from it.
+``index_table`` is the one definition of every index in INDEX_NAMES.  It
+reads a corpus as flat int64 columns (``corpus.PaperColumns``); a list of
+profiles is flattened into that form first.  It works a chunk of
+researchers at a time, cut by ``searchsorted`` on the running paper counts
+so that each chunk holds a bounded number of papers.  Every other function
+here builds a one-researcher table and selects a value from it.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import truediv
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import _MAX_COUNT, CorpusError, PaperRecord, ResearcherProfile, _check_count
+from .corpus import _MAX_COUNT, PaperColumns, PaperRecord, ResearcherProfile, _check_count, _total
 
 # papers per chunk: enough to spread numpy's per-call cost, few enough that
-# the arrays stay small beside the profiles themselves
+# the arrays stay small beside the paper columns themselves
 _CHUNK_PAPERS = 1 << 14
 # float64 holds every integer below this exactly
 _EXACT_IN_FLOAT = 1 << 53
@@ -48,91 +50,97 @@ INDEX_NAMES = (
 )
 
 
-def _chunks(profiles: Iterable[ResearcherProfile]) -> Iterator[list[ResearcherProfile]]:
-    """Runs of consecutive profiles with at most _CHUNK_PAPERS papers, or one larger profile."""
-    chunk: list[ResearcherProfile] = []
-    papers = 0
-    for profile in profiles:
-        if chunk and papers + len(profile.citations) > _CHUNK_PAPERS:
-            yield chunk
-            chunk, papers = [], 0
-        chunk.append(profile)
-        papers += len(profile.citations)
-    if chunk:
-        yield chunk
+def _columns_of(profiles: Iterable[ResearcherProfile]) -> PaperColumns:
+    """``profiles`` flattened into one PaperColumns, in their order."""
+    profiles = list(profiles)
+    flat = []
+    for field in ("citations", "authors"):
+        owned = [getattr(profile, field) for profile in profiles]
+        try:
+            flat.append(np.array(list(chain.from_iterable(owned)), dtype=np.int64))
+        except OverflowError:
+            # a count beyond int64 takes its researcher's total beyond it too
+            for profile, counts in zip(profiles, owned):
+                _total(profile.id, field, counts)
+            raise
+    sizes = np.array([len(profile.citations) for profile in profiles], dtype=np.int64)
+    years = [profile.career_years for profile in profiles]
+    return PaperColumns([profile.id for profile in profiles], sizes, *flat, years)
 
 
-def _counts(chunk: list[ResearcherProfile], field: str) -> np.ndarray:
-    """The ``field`` counts of ``chunk`` as one int64 array, researcher after researcher.
+def _check_totals(papers: PaperColumns) -> None:
+    """Raise CorpusError unless each researcher's counts total at most 2**63-1.
 
-    Each researcher's total must be at most 2**63-1, so a researcher's
-    running sums are exact in int64 even where a sum over the chunk wraps.
+    Then a researcher's running sums are exact in int64 even where a sum
+    over the chunk wraps.  The largest count times the paper count bounds
+    every total, so only a chunk that fails that bound is summed in Python.
     """
-    owned = [getattr(profile, field) for profile in chunk]
-    flat = list(chain.from_iterable(owned))
-    if sum(flat) > _MAX_COUNT:
-        for profile, counts in zip(chunk, owned):
-            total = sum(counts)
-            if total > _MAX_COUNT:
-                raise CorpusError(
-                    f"researcher {profile.id!r}: {field} must total at most {_MAX_COUNT}, "
-                    f"got {total}"
-                )
-    return np.array(flat, dtype=np.int64)
+    for field in ("citations", "authors"):
+        counts = getattr(papers, field)
+        if len(counts) and int(counts.max()) * len(counts) > _MAX_COUNT:
+            for researcher, owned in zip(papers.ids, papers.split(counts)):
+                _total(researcher, field, owned)
 
 
-def _within(sums: np.ndarray, starts: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """Running sums over the chunk turned into running sums within each researcher."""
+def _running(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Running sums of ``values`` within each researcher, whose papers start at ``first``."""
+    sums = np.cumsum(values)
     # both terms wrap alike in int64, so their difference is exact
-    return sums - np.concatenate(([0], sums))[starts][owner]
+    return sums - (sums - values)[first]
 
 
 def _in_paper_order(terms: np.ndarray, sizes: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Each column of ``terms`` summed per researcher, one paper at a time from 0.0.
 
-    np.sum and np.add.reduceat add pairwise, which changes the last bits, so
-    step k adds paper k of every researcher with more than k papers.
+    np.sum and np.add.reduceat add pairwise, which changes the last bits;
+    np.add.accumulate adds paper after paper.  It runs over a block of
+    researchers whose paper counts share a power of two, each padded with
+    0.0 to the block's largest count, so padding at most doubles a block.
+    Terms are non-negative, so neither the padding nor starting from the
+    first paper instead of 0.0 changes a bit.
     """
-    order = np.argsort(-sizes)  # most papers first
-    # active[k]: how many researchers have more than k papers
-    active = np.searchsorted(-sizes[order], -np.arange(sizes.max(initial=0)))
-    papers = starts[order]  # each researcher's next paper
-    totals = np.zeros((len(sizes), terms.shape[1]))
-    for count in active.tolist():
-        totals[:count] += terms.take(papers[:count], axis=0)
-        papers += 1
-    sums = np.empty_like(totals)
-    sums[order] = totals
+    sums = np.zeros((len(sizes), terms.shape[1]))
+    exponents = np.frexp(sizes)[1]  # e for a count in [2**(e-1), 2**e), 0 for none
+    for exponent in set(exponents.tolist()) - {0}:
+        group = np.flatnonzero(exponents == exponent)
+        counts = sizes[group, None]
+        offsets = np.arange(counts.max())
+        present = offsets < counts
+        papers = terms[np.where(present, starts[group, None] + offsets, 0)]
+        papers[~present] = 0.0
+        sums[group] = np.add.accumulate(papers, axis=1)[:, -1]
     return sums
 
 
 def _chunk_table(
-    chunk: list[ResearcherProfile], c_star: int, penalty: PenaltyParams
+    papers: PaperColumns, c_star: int, penalty: PenaltyParams
 ) -> tuple[dict[str, list], np.ndarray]:
-    """Every index of ``chunk``'s profiles, and the ranking that defines each h-core.
+    """Every index of ``papers``' researchers, and the ranking that defines each h-core.
 
     The ranking lists paper positions researcher by researcher, most cited
-    first; equally cited papers keep their input order.
+    first; equally cited papers keep their input order.  Without career
+    years, only the first seven indices are computed.
     """
-    sizes = np.array([len(profile.citations) for profile in chunk], dtype=np.int64)
-    cited = _counts(chunk, "citations")
-    authors = _counts(chunk, "authors")
-    owner = np.repeat(np.arange(len(chunk)), sizes)
+    _check_totals(papers)
+    sizes, cited, authors = papers.sizes, papers.citations, papers.authors
+    researchers = len(sizes)
+    owner = np.repeat(np.arange(researchers), sizes)
     starts = np.cumsum(sizes) - sizes
     ranking = np.lexsort((-cited, owner))  # a stable sort
     ranked = cited[ranking]
-    position = np.arange(1, len(ranked) + 1) - starts[owner]  # 1 at each researcher's top paper
-    ranked_sums = _within(np.cumsum(ranked), starts, owner)
+    first = starts[owner]  # the position of each paper's researcher's first paper
+    position = np.arange(1, len(ranked) + 1) - first  # 1 at each researcher's top paper
+    ranked_sums = _running(ranked, first)
     # each test holds on a prefix of a researcher's ranked papers, so the
     # papers that pass it count h or g
-    h = np.bincount(owner[ranked >= position], minlength=len(chunk))
-    g = np.bincount(owner[ranked_sums >= position * position], minlength=len(chunk))
+    h = np.bincount(owner[ranked >= position], minlength=researchers)
+    g = np.bincount(owner[ranked_sums >= position * position], minlength=researchers)
     cored = h > 0
     last = (starts + h - 1)[cored]
-    core_citations = np.zeros(len(chunk), dtype=np.int64)
+    core_citations = np.zeros(researchers, dtype=np.int64)
     core_citations[cored] = ranked_sums[last]
-    core_authors = np.zeros(len(chunk), dtype=np.int64)
-    core_authors[cored] = _within(np.cumsum(authors[ranking]), starts, owner)[last]
+    core_authors = np.zeros(researchers, dtype=np.int64)
+    core_authors[cored] = _running(authors[ranking], first)[last]
 
     shares = cited / authors
     inexact = (cited >= _EXACT_IN_FLOAT) | (authors >= _EXACT_IN_FLOAT)
@@ -151,7 +159,6 @@ def _chunk_table(
     ).T.tolist()
 
     # the last divisions and roots run on Python ints, as a per-profile loop would
-    years = [profile.career_years for profile in chunk]
     h_values = h.tolist()
     core_citations = core_citations.tolist()
     values = {
@@ -165,32 +172,50 @@ def _chunk_table(
         ],
         "si": si,
         "si_penalized": si_penalized,
-        "t": list(map(truediv, si, years)),
-        "t_thresholded": list(map(truediv, kept, years)),
     }
+    if papers.years is not None:
+        values["t"] = list(map(truediv, si, papers.years))
+        values["t_thresholded"] = list(map(truediv, kept, papers.years))
     return values, ranking
 
 
 def index_table(
-    profiles: Iterable[ResearcherProfile],
+    researchers: Iterable[ResearcherProfile] | PaperColumns,
     *,
     c_star: int = 0,
     penalty: PenaltyParams | None = None,
 ) -> dict[str, tuple]:
-    """Every index of every profile, as columns aligned with ``profiles``.
+    """Every index of every researcher, as columns aligned with ``researchers``.
 
-    The keys are INDEX_NAMES, in order; h and g are ints, the rest are
-    floats.  ``c_star`` is the citation threshold of t_thresholded and
-    ``penalty`` shapes si_penalized (no penalty by default).  A
-    researcher's citations and authors must each total at most 2**63-1;
-    a larger total raises CorpusError naming the researcher.
+    ``researchers`` is a list of profiles or a PaperColumns (see
+    ``parse_paper_columns``).  The keys are INDEX_NAMES, in order, or the
+    first seven when a PaperColumns holds no career years; h and g are
+    ints, the rest are floats.  ``c_star`` is the citation threshold of
+    t_thresholded and ``penalty`` shapes si_penalized (no penalty by
+    default).  A researcher's citations and authors must each total at most
+    2**63-1; a larger total raises CorpusError naming the researcher.
     """
     _check_count("c_star", c_star, 0)
     penalty = PenaltyParams() if penalty is None else penalty
-    columns: dict[str, list] = {name: [] for name in INDEX_NAMES}
-    for chunk in _chunks(profiles):
+    papers = researchers if isinstance(researchers, PaperColumns) else _columns_of(researchers)
+    names = INDEX_NAMES if papers.years is not None else INDEX_NAMES[:7]
+    columns: dict[str, list] = {name: [] for name in names}
+    ends = np.cumsum(papers.sizes)
+    first = 0
+    while first < len(ends):
+        begin = int(ends[first] - papers.sizes[first])
+        # the researchers whose papers end within _CHUNK_PAPERS, or one larger one
+        last = max(first + 1, int(np.searchsorted(ends, begin + _CHUNK_PAPERS, side="right")))
+        chunk = PaperColumns(
+            papers.ids[first:last],
+            papers.sizes[first:last],
+            papers.citations[begin : ends[last - 1]],
+            papers.authors[begin : ends[last - 1]],
+            None if papers.years is None else papers.years[first:last],
+        )
         for name, values in _chunk_table(chunk, c_star, penalty)[0].items():
             columns[name] += values
+        first = last
     return {name: tuple(values) for name, values in columns.items()}
 
 
@@ -232,7 +257,7 @@ def r_index(citations: Sequence[int]) -> float:
 def h_core(papers: Iterable[PaperRecord]) -> tuple[PaperRecord, ...]:
     """The h most cited papers; equally cited papers keep their input order."""
     papers = tuple(papers)
-    values, ranking = _chunk_table([_of_papers(papers)], 0, PenaltyParams())
+    values, ranking = _chunk_table(_columns_of([_of_papers(papers)]), 0, PenaltyParams())
     return tuple(papers[position] for position in ranking[: values["h"][0]].tolist())
 
 

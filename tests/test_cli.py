@@ -138,6 +138,29 @@ class TestIndicesCommand:
         assert isinstance(data[0]["a"], float)
         assert data[0]["id"] == "A1"
 
+    @pytest.mark.parametrize("with_profiles", [True, False], ids=["profiles", "papers-only"])
+    def test_interleaved_rows_print_like_grouped_rows(self, capsys, tmp_path, with_profiles):
+        lines = (DATA / "papers.csv").read_text().splitlines(keepends=True)
+        header, *rows = [line for line in lines if not line.startswith("#")]
+        assert header == "id,citations,authors\n"
+        # alternate the researchers row by row; each one's rows keep their order
+        by_id = {}
+        for row in rows:
+            by_id.setdefault(row.split(",")[0], []).append(row)
+        queues = list(by_id.values())
+        interleaved = []
+        while any(queues):
+            interleaved += [queue.pop(0) for queue in queues if queue]
+        assert interleaved != rows
+        papers = tmp_path / "interleaved.csv"
+        papers.write_text(header + "".join(interleaved))
+        profiles = ("--profiles", PROFILES) if with_profiles else ()
+        for output_format in ("csv", "table", "json"):
+            options = (*profiles, "--format", output_format)
+            expected = run(capsys, "indices", "--papers", PAPERS, *options)
+            assert run(capsys, "indices", "--papers", str(papers), *options) == expected
+            assert expected[0] == 0
+
     def test_empty_papers_file(self, capsys):
         code, out, err = run(capsys, "indices", "--papers", EMPTY)
         assert code == 1
@@ -496,10 +519,14 @@ class TestDataErrors:
         papers = tmp_path / "papers.csv"
         profiles.write_text("b,5\na,5\n")
         papers.write_text(f"b,3,1\na,{2**63 - 1},2\na,{2**63 - 1},1\n")
+        sources = ("--profiles", str(profiles), "--papers", str(papers))
         for argv in (
-            ("indices", "--profiles", str(profiles), "--papers", str(papers)),
+            ("indices", *sources),
             ("indices", "--papers", str(papers)),
-            ("report", "--profiles", str(profiles), "--papers", str(papers)),
+            # aggregating a profile applies the same rule to both of its totals
+            ("dea", *sources),
+            ("frontier", *sources),
+            ("report", *sources),
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (1, "")

@@ -14,10 +14,12 @@ from citedea import (
     aggregate,
     parse_aggregates,
     parse_h_values,
+    parse_paper_columns,
     parse_papers,
     parse_profiles,
 )
 
+from citedea import corpus
 from conftest import DATA
 
 
@@ -199,6 +201,35 @@ class TestParsePapers:
             CorpusError, match="^papers line 1: non-integer value 'abc' for citations$"
         ):
             parse_papers("R1,abc,2\nR2,1,2,3")
+
+
+class TestGrouping:
+    INTERLEAVED = "a,1,2\nb,3,4\na,5,6\nc,9,9\nb,7,1\na,8,1\n"
+    GROUPED = "a,1,2\na,5,6\na,8,1\nb,3,4\nb,7,1\nc,9,9\n"
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 8])
+    def test_interleaved_rows_group_like_grouped_rows(self, chunk, monkeypatch):
+        monkeypatch.setattr(corpus, "_CHUNK_CHARS", chunk)
+        profiles = "c,1\na,3\nb,4\nd,2\n"
+        grouped = parse_profiles(profiles, self.GROUPED)
+        assert parse_profiles(profiles, self.INTERLEAVED) == grouped
+        assert [(p.id, p.citations, p.authors) for p in grouped] == [
+            ("c", (9,), (9,)),
+            ("a", (1, 5, 8), (2, 6, 1)),
+            ("b", (3, 7), (4, 1)),
+            ("d", (), ()),
+        ]
+        assert parse_papers(self.INTERLEAVED) == parse_papers(self.GROUPED)
+        assert list(parse_papers(self.INTERLEAVED)) == ["a", "b", "c"]
+
+    def test_columns_hold_each_researcher_in_file_order(self):
+        columns = parse_paper_columns(self.INTERLEAVED, "b,4\nd,2\na,3\nc,1\n")
+        assert columns.ids == ["b", "d", "a", "c"]
+        assert columns.years == [4, 2, 3, 1]
+        assert columns.sizes.tolist() == [2, 0, 3, 1]
+        assert columns.citations.tolist() == [3, 7, 1, 5, 8, 9]
+        assert columns.authors.tolist() == [4, 1, 2, 6, 1, 9]
+        assert parse_paper_columns(self.INTERLEAVED).years is None
 
 
 class TestParseAggregates:

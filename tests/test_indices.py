@@ -24,6 +24,8 @@ from citedea import (
     index_table,
     individual_h,
     paper_indices,
+    parse_paper_columns,
+    parse_profiles,
     r_index,
     scientific_impact,
     scientific_impact_penalized,
@@ -405,6 +407,38 @@ class TestIndexTable:
         expected = [oracle_indices(profile, c_star, penalty) for profile in profiles]
         for name, column in table.items():
             assert list(map(repr, column)) == [repr(values[name]) for values in expected]
+
+    def test_mixed_paper_counts_in_one_chunk_match_the_oracle(self):
+        # impact sums run over blocks of researchers whose paper counts share a
+        # power of two, each padded to the block's largest count
+        rng = np.random.default_rng(7)
+        profiles = [
+            ResearcherProfile(
+                id=f"p{number}",
+                career_years=3,
+                citations=rng.integers(0, 1000, size=count).tolist(),
+                authors=rng.integers(1, 30, size=count).tolist(),
+            )
+            for number, count in enumerate([0, 1, 2, 3, 5, 8, 13, 31, 32, 33, 40, 64, 65, 7, 0, 1])
+        ]
+        penalty = PenaltyParams(a=0.3, b=3)
+        table = index_table(profiles, c_star=100, penalty=penalty)
+        for position, profile in enumerate(profiles):
+            expected = oracle_indices(profile, 100, penalty)
+            assert {name: repr(table[name][position]) for name in INDEX_NAMES} == {
+                name: repr(value) for name, value in expected.items()
+            }
+
+    def test_paper_columns_give_the_profile_table(self, monkeypatch):
+        monkeypatch.setattr(indices, "_CHUNK_PAPERS", 3)
+        profiles = "a,3\nb,4\nc,2\nd,7\n"
+        papers = "a,10,2\nb,3,1\na,4,3\nd,0,1\na,7,1\nd,25,5\nd,1,2\nd,9,1\n"
+        options = {"c_star": 4, "penalty": PenaltyParams(a=0.5, b=1)}
+        table = index_table(parse_paper_columns(papers, profiles), **options)
+        assert table == index_table(parse_profiles(profiles, papers), **options)
+        # without career years the t columns are left out
+        alone = index_table(parse_paper_columns(papers), **options)
+        assert alone == {name: table[name][:2] + table[name][3:] for name in INDEX_NAMES[:7]}
 
     def test_a_chunk_total_beyond_64_bits_is_not_a_researcher_total(self, monkeypatch):
         # the chunk's citations total 2**64 - 2, but each researcher's fits in int64

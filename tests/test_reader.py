@@ -6,13 +6,21 @@ loop on its own, directly, and check that both give the same rows or the
 same first error.
 """
 
+import json
 from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from citedea import CorpusError, corpus, parse_papers, parse_profiles
+from citedea import (
+    CorpusError,
+    corpus,
+    parse_aggregates,
+    parse_h_values,
+    parse_papers,
+    parse_profiles,
+)
 
 PAPER_BOUNDS = {"citations": 0, "authors": 1}
 
@@ -142,6 +150,51 @@ def test_plain_chunks_skip_the_per_line_loop():
     assert error is None and len(rows) == 100_000
     # only the first line, which settles the column layout, is read line by line
     assert [call.args[1:] for call in loop.call_args_list] == [(["r0,0,1"], 1)]
+
+
+# every file layout: its integer columns with their bounds, its name, and
+# whether an id may repeat
+LAYOUTS = {
+    "papers": (PAPER_BOUNDS, "papers", False),
+    "profiles": ({"career_years": 1}, "profiles", True),
+    "aggregates": ({"years": 1, "coauthors": 1, "citations": 0}, "aggregates", True),
+    "h-values": ({"h": 0}, "h-values", True),
+}
+# cells int() reads, then counts one past either end of int64
+INT64_CELLS = ["007", "+5", "1_0", "-0", str(2**63 - 1), str(2**63), str(-(2**63) - 1)]
+
+
+@pytest.mark.parametrize("cell", INT64_CELLS)
+@pytest.mark.parametrize(
+    "layout, column",
+    [(layout, column) for layout, (bounds, _, _) in LAYOUTS.items() for column in bounds],
+)
+def test_integer_cells_read_alike_column_by_column_and_line_by_line(layout, column, cell):
+    bounds, name, unique = LAYOUTS[layout]
+    rows = [[f"r{index}", *("2" for _ in bounds)] for index in range(3)]
+    rows[1][1 + list(bounds).index(column)] = cell
+    lines = [",".join(row) for row in rows]
+    text = "\n".join(lines) + "\n"
+    assert chunked(text, bounds, name, unique) == by_line(text, bounds, name, unique)
+    # only a count within int64 and at or above its bound stays on the column path
+    block = corpus._Reader(bounds, name, unique).at_once(lines, 1)
+    assert (block is None) == (not bounds[column] <= int(cell) <= 2**63 - 1)
+
+
+@pytest.mark.parametrize("prefix", ["", "# read line by line\n"], ids=["columns", "lines"])
+def test_parsers_return_python_ints(prefix):
+    values = [
+        value
+        for item in parse_aggregates(prefix + "a,1,2,3\n")
+        for value in (item.years, item.coauthors, item.citations)
+    ]
+    values += parse_h_values(prefix + "a,4\n").values()
+    for profile in parse_profiles(prefix + "a,5\n", prefix + "a,6,7\na,8,9\n"):
+        values += [profile.career_years, *profile.citations, *profile.authors]
+    for papers in parse_papers(prefix + "a,6,7\n").values():
+        values += [value for record in papers for value in (record.citations, record.authors)]
+    assert {type(value) for value in values} == {int}
+    json.dumps(values)  # np.int64 is not JSON serializable
 
 
 CELLS = st.one_of(

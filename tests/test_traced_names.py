@@ -30,3 +30,12 @@ def test_traced_name_is_a_public_function_of_its_layer(name):
     value = getattr(citedea, function)
     assert inspect.isfunction(value)
     assert value.__module__ == f"citedea.{layer}"
+
+
+def test_the_indices_command_reads_through_a_public_parser():
+    # the tracer times every corpus.parse_* name in citedea.__all__ as parse time
+    from citedea import cli
+
+    assert "parse_paper_columns" in citedea.__all__
+    assert cli.parse_paper_columns is citedea.parse_paper_columns
+    assert citedea.parse_paper_columns.__module__ == "citedea.corpus"
