@@ -33,19 +33,8 @@ from .dea import (
 from .indices import (
     INDEX_NAMES,
     PenaltyParams,
-    a_index,
     compute_indices,
-    g_index,
-    h_core,
-    h_index,
     index_table,
-    individual_h,
-    paper_indices,
-    r_index,
-    scientific_impact,
-    scientific_impact_penalized,
-    t_index,
-    t_index_thresholded,
 )
 from .lp import (
     FEASIBILITY_TOL,
@@ -75,7 +64,6 @@ __all__ = [
     "PaperRecord",
     "PenaltyParams",
     "ResearcherProfile",
-    "a_index",
     "aggregate",
     "build_ccr_lp",
     "build_report",
@@ -83,23 +71,13 @@ __all__ = [
     "ccr_efficiency",
     "compute_indices",
     "frontier",
-    "g_index",
-    "h_core",
-    "h_index",
     "index_table",
-    "individual_h",
-    "paper_indices",
     "parse_aggregates",
     "parse_h_values",
     "parse_paper_columns",
     "parse_papers",
     "parse_profiles",
-    "r_index",
     "rank",
     "rank_correlation",
-    "scientific_impact",
-    "scientific_impact_penalized",
     "solve_lp",
-    "t_index",
-    "t_index_thresholded",
 ]

@@ -13,7 +13,8 @@ only source of error text, so the first bad line in file order is the one
 reported.  Both paths yield int64 columns.  A count below its bound is
 reported as ``<column> must be a positive integer, got <value>`` (or
 ``non-negative``), by the reader and by the constructors of the public types
-alike.
+alike; a count above 2**63-1 as ``<column> must be at most
+9223372036854775807``, by the reader and by the paper and profile types.
 """
 
 from __future__ import annotations
@@ -44,11 +45,13 @@ def _check_id(value: object) -> None:
         raise ValueError(f"id must be a non-empty string, got {value!r}")
 
 
-def _check_count(name: str, value: object, low: int) -> None:
-    """Raise ValueError unless ``value`` is an int of at least ``low`` (0 or 1)."""
+def _check_count(name: str, value: object, low: int, high: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an int from ``low`` (0 or 1) to ``high``, if given."""
     if not isinstance(value, int) or value < low:
         kind = "positive" if low else "non-negative"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}")
 
 
 def _total(researcher: str, name: str, counts: Sequence[int]) -> int:
@@ -69,8 +72,8 @@ class PaperRecord:
     authors: int
 
     def __post_init__(self) -> None:
-        _check_count("citations", self.citations, 0)
-        _check_count("authors", self.authors, 1)
+        _check_count("citations", self.citations, 0, _MAX_COUNT)
+        _check_count("authors", self.authors, 1, _MAX_COUNT)
 
 
 @dataclass(frozen=True)
@@ -102,8 +105,8 @@ class ResearcherProfile:
         if citations and not (
             all(map(isinstance, citations, repeat(int)))
             and all(map(isinstance, authors, repeat(int)))
-            and min(citations) >= 0
-            and min(authors) >= 1
+            and 0 <= min(citations) <= max(citations) <= _MAX_COUNT
+            and 1 <= min(authors) <= max(authors) <= _MAX_COUNT
         ):
             for cited, count in zip(citations, authors):
                 PaperRecord(cited, count)
@@ -193,9 +196,7 @@ class _Reader:
                             f"non-integer value {cells[position]!r} for {column}"
                         ) from None
                 for (column, low), value in zip(self.bounds.items(), values):
-                    if value > _MAX_COUNT:
-                        raise ValueError(f"{column} must be at most {_MAX_COUNT}")
-                    _check_count(column, value, low)
+                    _check_count(column, value, low, _MAX_COUNT)
                 numbers.append(number)
                 ids.append(researcher)
                 rows.append(values)

@@ -4,8 +4,8 @@
 reads a corpus as flat int64 columns (``corpus.PaperColumns``); a list of
 profiles is flattened into that form first.  It works a chunk of
 researchers at a time, cut by ``searchsorted`` on the running paper counts
-so that each chunk holds a bounded number of papers.  Every other function
-here builds a one-researcher table and selects a value from it.
+so that each chunk holds a bounded number of papers.  ``compute_indices``
+reads one row of a one-researcher table.
 """
 
 from __future__ import annotations
@@ -13,20 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import truediv
-from typing import Iterable, Sequence
+from operator import attrgetter, truediv
+from typing import Iterable
 
 import numpy as np
 
-from .corpus import _MAX_COUNT, PaperColumns, PaperRecord, ResearcherProfile, _check_count, _total
+from .corpus import _MAX_COUNT, PaperColumns, ResearcherProfile, _check_count, _total
 
 # papers per chunk: enough to spread numpy's per-call cost, few enough that
 # the arrays stay small beside the paper columns themselves
 _CHUNK_PAPERS = 1 << 14
 # float64 holds every integer below this exactly
 _EXACT_IN_FLOAT = 1 << 53
-# the researcher id a bare paper or citation list is reported under
-_LIST_ID = "paper list"
 
 
 @dataclass(frozen=True)
@@ -43,8 +41,8 @@ class PenaltyParams:
         _check_count("b", self.b, 1)
 
 
-# every index index_table and compute_indices return, in their order;
-# paper_indices returns the first seven
+# every index index_table and compute_indices return, in their order; a
+# PaperColumns without career years gives the first seven
 INDEX_NAMES = (
     "h", "g", "a", "r", "individual_h", "si", "si_penalized", "t", "t_thresholded",
 )
@@ -53,19 +51,13 @@ INDEX_NAMES = (
 def _columns_of(profiles: Iterable[ResearcherProfile]) -> PaperColumns:
     """``profiles`` flattened into one PaperColumns, in their order."""
     profiles = list(profiles)
-    flat = []
-    for field in ("citations", "authors"):
-        owned = [getattr(profile, field) for profile in profiles]
-        try:
-            flat.append(np.array(list(chain.from_iterable(owned)), dtype=np.int64))
-        except OverflowError:
-            # a count beyond int64 takes its researcher's total beyond it too
-            for profile, counts in zip(profiles, owned):
-                _total(profile.id, field, counts)
-            raise
+    citations, authors = (
+        np.array(list(chain.from_iterable(map(attrgetter(field), profiles))), dtype=np.int64)
+        for field in ("citations", "authors")
+    )
     sizes = np.array([len(profile.citations) for profile in profiles], dtype=np.int64)
     years = [profile.career_years for profile in profiles]
-    return PaperColumns([profile.id for profile in profiles], sizes, *flat, years)
+    return PaperColumns([profile.id for profile in profiles], sizes, citations, authors, years)
 
 
 def _check_totals(papers: PaperColumns) -> None:
@@ -112,21 +104,19 @@ def _in_paper_order(terms: np.ndarray, sizes: np.ndarray, starts: np.ndarray) ->
     return sums
 
 
-def _chunk_table(
-    papers: PaperColumns, c_star: int, penalty: PenaltyParams
-) -> tuple[dict[str, list], np.ndarray]:
-    """Every index of ``papers``' researchers, and the ranking that defines each h-core.
+def _chunk_table(papers: PaperColumns, c_star: int, penalty: PenaltyParams) -> dict[str, list]:
+    """Every index of ``papers``' researchers, as lists keyed in INDEX_NAMES order.
 
-    The ranking lists paper positions researcher by researcher, most cited
-    first; equally cited papers keep their input order.  Without career
-    years, only the first seven indices are computed.
+    Without career years, only the first seven indices are computed.
     """
     _check_totals(papers)
     sizes, cited, authors = papers.sizes, papers.citations, papers.authors
     researchers = len(sizes)
     owner = np.repeat(np.arange(researchers), sizes)
     starts = np.cumsum(sizes) - sizes
-    ranking = np.lexsort((-cited, owner))  # a stable sort
+    # paper positions researcher by researcher, most cited first; the sort is
+    # stable, so equally cited papers enter the h-core in input order
+    ranking = np.lexsort((-cited, owner))
     ranked = cited[ranking]
     first = starts[owner]  # the position of each paper's researcher's first paper
     position = np.arange(1, len(ranked) + 1) - first  # 1 at each researcher's top paper
@@ -176,7 +166,7 @@ def _chunk_table(
     if papers.years is not None:
         values["t"] = list(map(truediv, si, papers.years))
         values["t_thresholded"] = list(map(truediv, kept, papers.years))
-    return values, ranking
+    return values
 
 
 def index_table(
@@ -190,10 +180,18 @@ def index_table(
     ``researchers`` is a list of profiles or a PaperColumns (see
     ``parse_paper_columns``).  The keys are INDEX_NAMES, in order, or the
     first seven when a PaperColumns holds no career years; h and g are
-    ints, the rest are floats.  ``c_star`` is the citation threshold of
-    t_thresholded and ``penalty`` shapes si_penalized (no penalty by
-    default).  A researcher's citations and authors must each total at most
-    2**63-1; a larger total raises CorpusError naming the researcher.
+    ints, the rest are floats.  Over one researcher's papers: h is the
+    largest h with h papers cited at least h times; g the largest g, at most
+    the paper count, whose g most cited papers total g**2 citations; a and r
+    the mean and the square root of the citation sum over the h-core, the h
+    most cited papers (equally cited ones in input order); individual_h is h
+    over the core's mean author count; si sums citations / authors;
+    si_penalized sums citations / (1 + a * (authors - b)) for papers with
+    more than b authors and plain citations for the rest, with a and b from
+    ``penalty`` (no penalty by default); t is si per career year, and
+    t_thresholded counts only papers with at least ``c_star`` citations.  A
+    researcher's citations and authors must each total at most 2**63-1; a
+    larger total raises CorpusError naming the researcher.
     """
     _check_count("c_star", c_star, 0)
     penalty = PenaltyParams() if penalty is None else penalty
@@ -213,94 +211,10 @@ def index_table(
             papers.authors[begin : ends[last - 1]],
             None if papers.years is None else papers.years[first:last],
         )
-        for name, values in _chunk_table(chunk, c_star, penalty)[0].items():
+        for name, values in _chunk_table(chunk, c_star, penalty).items():
             columns[name] += values
         first = last
     return {name: tuple(values) for name, values in columns.items()}
-
-
-def _row(profile: ResearcherProfile, **options) -> dict[str, float]:
-    return {name: column[0] for name, column in index_table([profile], **options).items()}
-
-
-def _of_papers(papers: Iterable[PaperRecord]) -> ResearcherProfile:
-    papers = tuple(papers)  # a one-shot iterable is read once
-    citations = [record.citations for record in papers]
-    return ResearcherProfile(_LIST_ID, 1, citations, [record.authors for record in papers])
-
-
-def _of_citations(citations: Iterable[int]) -> ResearcherProfile:
-    citations = tuple(citations)
-    return ResearcherProfile(_LIST_ID, 1, citations, (1,) * len(citations))
-
-
-def h_index(citations: Sequence[int]) -> int:
-    """Largest h such that at least h entries are h or more."""
-    return _row(_of_citations(citations))["h"]
-
-
-def g_index(citations: Sequence[int]) -> int:
-    """Largest g, at most the paper count, whose top g papers total g**2 citations."""
-    return _row(_of_citations(citations))["g"]
-
-
-def a_index(citations: Sequence[int]) -> float:
-    """Mean citation count over the h most cited papers; 0 when h is 0."""
-    return _row(_of_citations(citations))["a"]
-
-
-def r_index(citations: Sequence[int]) -> float:
-    """Square root of the citation sum over the h most cited papers."""
-    return _row(_of_citations(citations))["r"]
-
-
-def h_core(papers: Iterable[PaperRecord]) -> tuple[PaperRecord, ...]:
-    """The h most cited papers; equally cited papers keep their input order."""
-    papers = tuple(papers)
-    values, ranking = _chunk_table(_columns_of([_of_papers(papers)]), 0, PenaltyParams())
-    return tuple(papers[position] for position in ranking[: values["h"][0]].tolist())
-
-
-def individual_h(papers: Iterable[PaperRecord]) -> float:
-    """h divided by the mean author count of the h-core papers; 0 when h is 0."""
-    return _row(_of_papers(papers))["individual_h"]
-
-
-def scientific_impact(papers: Iterable[PaperRecord]) -> float:
-    """Citation sum with every paper's count divided by its author count."""
-    return _row(_of_papers(papers))["si"]
-
-
-def scientific_impact_penalized(
-    papers: Iterable[PaperRecord], params: PenaltyParams
-) -> float:
-    """Citation sum where authors above ``b`` are charged at slope ``a``.
-
-    Papers with at most ``b`` authors contribute their citations undivided;
-    the rest contribute citations / (1 + a * (authors - b)).
-    """
-    return _row(_of_papers(papers), penalty=params)["si_penalized"]
-
-
-def t_index(profile: ResearcherProfile) -> float:
-    """Scientific impact averaged over the researcher's career years."""
-    return _row(profile)["t"]
-
-
-def t_index_thresholded(profile: ResearcherProfile, c_star: int) -> float:
-    """Like t_index, but only papers with at least ``c_star`` citations count."""
-    return _row(profile, c_star=c_star)["t_thresholded"]
-
-
-def paper_indices(
-    papers: Iterable[PaperRecord], *, penalty: PenaltyParams | None = None
-) -> dict[str, float]:
-    """The indices a paper list alone determines, keyed in INDEX_NAMES order.
-
-    h and g are ints; the rest are floats.
-    """
-    values = _row(_of_papers(papers), penalty=penalty)
-    return {name: values[name] for name in INDEX_NAMES[:7]}
 
 
 def compute_indices(
@@ -310,4 +224,5 @@ def compute_indices(
     penalty: PenaltyParams | None = None,
 ) -> dict[str, float]:
     """Every index for one researcher, keyed in INDEX_NAMES order (see index_table)."""
-    return _row(profile, c_star=c_star, penalty=penalty)
+    table = index_table([profile], c_star=c_star, penalty=penalty)
+    return {name: column[0] for name, column in table.items()}

@@ -6,10 +6,12 @@ per-paper source data is not published.  Criterion 6 checks the embedded
 solver against an independent grid-search oracle on random DMU sets.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
 import time
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -17,20 +19,13 @@ import pytest
 import citedea
 from citedea import (
     DmuSet,
-    PaperRecord,
     ResearcherProfile,
-    a_index,
     ccr_all,
     ccr_efficiency,
     frontier,
-    g_index,
-    h_index,
-    r_index,
+    index_table,
     rank,
     rank_correlation,
-    scientific_impact,
-    t_index,
-    t_index_thresholded,
 )
 from conftest import (
     DATA,
@@ -118,58 +113,59 @@ def oracle_g(citations):
 
 def test_criterion_5_index_invariants_hold_on_1000_random_profiles():
     rng = np.random.default_rng(20240819)
+    profiles, thresholds = [], []
     for trial in range(1000):
         paper_count = int(rng.integers(1, 13))
         citations = [int(c) for c in rng.integers(0, 101, size=paper_count)]
         authors = [int(a) for a in rng.integers(1, 9, size=paper_count)]
         years = int(rng.integers(1, 41))
-        papers = [
-            PaperRecord(citations=c, authors=a) for c, a in zip(citations, authors)
-        ]
-        profile = ResearcherProfile(
-            id=f"P{trial}", career_years=years, citations=citations, authors=authors
+        profiles.append(
+            ResearcherProfile(
+                id=f"P{trial}", career_years=years, citations=citations, authors=authors
+            )
         )
+        thresholds.append(sorted(int(c) for c in rng.integers(0, 102, size=3)))
 
-        h = h_index(citations)
-        g = g_index(citations)
-        a = a_index(citations)
-        r = r_index(citations)
-        assert h == oracle_h(citations)
-        assert g == oracle_g(citations)
+    def rows(table):
+        return [dict(zip(table, values)) for values in zip(*table.values())]
+
+    # an uncited paper changes nothing except possibly raising g
+    padded = [
+        dataclasses.replace(p, citations=p.citations + (0,), authors=p.authors + (3,))
+        for p in profiles
+    ]
+    # doubling every citation count doubles the impact sums exactly
+    doubled = [dataclasses.replace(p, citations=[2 * c for c in p.citations]) for p in profiles]
+    base, padded, doubled = (rows(index_table(group)) for group in (profiles, padded, doubled))
+    # each profile's t_thresholded at each of its thresholds
+    thresholded = {}
+    for c in set(chain.from_iterable(thresholds)):
+        owners = [trial for trial, drawn in enumerate(thresholds) if c in drawn]
+        column = index_table([profiles[trial] for trial in owners], c_star=c)["t_thresholded"]
+        thresholded.update(((trial, c), value) for trial, value in zip(owners, column))
+
+    for trial, profile in enumerate(profiles):
+        values = base[trial]
+        h, g, a, r = values["h"], values["g"], values["a"], values["r"]
+        assert h == oracle_h(profile.citations)
+        assert g == oracle_g(profile.citations)
         assert g >= h
         assert a >= h
         assert abs(r * r - h * a) <= 1e-9
 
-        # an uncited paper changes nothing except possibly raising g
-        padded = ResearcherProfile(
-            id=profile.id,
-            career_years=years,
-            citations=citations + [0],
-            authors=authors + [3],
-        )
-        padded_citations = citations + [0]
-        assert h_index(padded_citations) == h
-        assert a_index(padded_citations) == a
-        assert r_index(padded_citations) == r
-        assert g_index(padded_citations) >= g
-        assert scientific_impact(padded.papers) == scientific_impact(papers)
-        assert t_index(padded) == t_index(profile)
+        more = padded[trial]
+        assert (more["h"], more["a"], more["r"]) == (h, a, r)
+        assert more["g"] >= g
+        assert more["si"] == values["si"]
+        assert more["t"] == values["t"]
 
         # raising the citation threshold never raises the thresholded index
-        thresholds = sorted(int(c) for c in rng.integers(0, 102, size=3))
-        values = [t_index_thresholded(profile, c) for c in thresholds]
-        assert all(x >= y for x, y in zip(values, values[1:]))
-        assert t_index_thresholded(profile, 0) == t_index(profile)
+        kept = [thresholded[trial, c] for c in thresholds[trial]]
+        assert all(x >= y for x, y in zip(kept, kept[1:]))
+        assert values["t_thresholded"] == values["t"]
 
-        # doubling every citation count doubles the impact sums exactly
-        doubled = ResearcherProfile(
-            id=profile.id,
-            career_years=years,
-            citations=[2 * c for c in citations],
-            authors=authors,
-        )
-        assert scientific_impact(doubled.papers) == 2.0 * scientific_impact(papers)
-        assert t_index(doubled) == 2.0 * t_index(profile)
+        assert doubled[trial]["si"] == 2.0 * values["si"]
+        assert doubled[trial]["t"] == 2.0 * values["t"]
 
 
 def grid_oracle(inputs, outputs, target, epsilon=1e-6):

@@ -100,13 +100,28 @@ class TestTypes:
             ((4, 2, -3), (1, 0, 1), "authors must be a positive integer, got 0"),
             ((4, 2, -3), (1, 1, 0), "citations must be a non-negative integer, got -3"),
             ((4,), ("2",), "authors must be a positive integer, got '2'"),
+            ((2**63,), (1,), "citations must be at most 9223372036854775807"),
+            ((1, 2), (2**63 - 1, 2**64), "authors must be at most 9223372036854775807"),
         ],
-        ids=["float-citation", "zero-authors", "negative-citation", "string-authors"],
+        ids=[
+            "float-citation", "zero-authors", "negative-citation", "string-authors",
+            "count-beyond-64-bits", "authors-beyond-64-bits",
+        ],
     )
     def test_profile_names_its_first_bad_count(self, citations, authors, message):
         with pytest.raises(ValueError) as raised:
             ResearcherProfile("X", 1, citations, authors)
         assert str(raised.value) == message
+        # a paper holding the same counts is refused in the same words
+        with pytest.raises(ValueError) as raised:
+            for paper in zip(citations, authors):
+                PaperRecord(*paper)
+        assert str(raised.value) == message
+
+    def test_paper_and_profile_accept_the_largest_64_bit_count(self):
+        largest = 2**63 - 1
+        assert PaperRecord(largest, largest).citations == largest
+        assert ResearcherProfile("X", 1, (largest, 0), (1, largest)).authors == (1, largest)
 
     def test_aggregate_rejects_zero_coauthors(self):
         with pytest.raises(ValueError, match="coauthors"):
