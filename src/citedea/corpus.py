@@ -46,8 +46,11 @@ def _check_id(value: object) -> None:
 
 
 def _check_count(name: str, value: object, low: int, high: int | None = None) -> None:
-    """Raise ValueError unless ``value`` is an int from ``low`` (0 or 1) to ``high``, if given."""
-    if not isinstance(value, int) or value < low:
+    """Raise ValueError unless ``value`` is an int from ``low`` (0 or 1) to ``high``, if given.
+
+    A bool is refused: it is an int to Python, but no reader takes one.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
         kind = "positive" if low else "non-negative"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
     if high is not None and value > high:
@@ -101,10 +104,10 @@ class ResearcherProfile:
                 f"citations and authors must hold one count per paper, got "
                 f"{len(citations)} and {len(authors)}"
             )
-        # whole-tuple passes; only a profile that fails one is walked paper by paper
+        # whole-tuple passes; only a profile that fails one, say by holding a
+        # bool or another int subclass, is walked paper by paper
         if citations and not (
-            all(map(isinstance, citations, repeat(int)))
-            and all(map(isinstance, authors, repeat(int)))
+            {*map(type, citations), *map(type, authors)} == {int}
             and 0 <= min(citations) <= max(citations) <= _MAX_COUNT
             and 1 <= min(authors) <= max(authors) <= _MAX_COUNT
         ):

@@ -1,9 +1,10 @@
 """A small deterministic two-phase simplex solver for dense maximization programs.
 
 The solver targets the programs produced by the efficiency module: a few
-weight variables and one row per DMU plus the normalization row.  It favors
-robustness over speed: Bland's rule guards against cycling and makes every
-run of the same program pivot identically.
+weight variables and one row per DMU plus the normalization row.  Bland's
+rule guards against cycling and makes every run of the same program pivot
+identically.  A pivot updates the tableau in one vectorized step with the
+same arithmetic as a loop over its rows, so each entry keeps its bits.
 """
 
 from __future__ import annotations
@@ -82,12 +83,17 @@ def _pivot(
     column: int,
     objective_row: np.ndarray | None = None,
 ) -> None:
-    tableau[row] /= tableau[row, column]
-    for other in range(tableau.shape[0]):
-        if other != row and tableau[other, column] != 0.0:
-            tableau[other] -= tableau[other, column] * tableau[row]
+    pivot_row = tableau[row]
+    pivot_row /= pivot_row[column]
+    # each other row with a nonzero factor f becomes row - f * pivot_row, a
+    # product and a difference rounded apart as a row loop would round them;
+    # entries under a zero of the pivot row keep their value
+    others = np.flatnonzero(tableau[:, column])
+    others = others[others != row]
+    nonzero = np.flatnonzero(pivot_row)
+    tableau[np.ix_(others, nonzero)] -= tableau[others, column, None] * pivot_row[nonzero]
     if objective_row is not None and objective_row[column] != 0.0:
-        objective_row -= objective_row[column] * tableau[row]
+        objective_row -= objective_row[column] * pivot_row
     basis[row] = column
 
 
@@ -103,25 +109,22 @@ def _optimize(
     # Bland's rule cannot cycle in exact arithmetic; the cap only guards
     # against float-tolerance stalls turning into a hang
     for _ in range(10_000 + 100 * columns):
-        entering = -1
-        for column in range(columns):
-            if objective_row[column] < -PIVOT_TOL:
-                entering = column
-                break
-        if entering < 0:
+        improving = np.flatnonzero(objective_row[:-1] < -PIVOT_TOL)
+        if not improving.size:
             return LpStatus.OPTIMAL
-        leaving = -1
+        entering = int(improving[0])
+        candidates = np.flatnonzero(tableau[:, entering] > PIVOT_TOL)
+        ratios = tableau[candidates, -1] / tableau[candidates, entering]
+        leaving, leaving_key = -1, math.inf
         best_ratio = math.inf
-        for row in range(tableau.shape[0]):
-            step = tableau[row, entering]
-            if step > PIVOT_TOL:
-                ratio = tableau[row, -1] / step
-                if ratio < best_ratio - PIVOT_TOL or (
-                    ratio <= best_ratio + PIVOT_TOL
-                    and (leaving < 0 or basis[row] < basis[leaving])
-                ):
-                    best_ratio = min(ratio, best_ratio)
-                    leaving = row
+        for row, ratio, key in zip(
+            candidates.tolist(), ratios.tolist(), basis[candidates].tolist()
+        ):
+            if ratio < best_ratio - PIVOT_TOL or (
+                ratio <= best_ratio + PIVOT_TOL and key < leaving_key
+            ):
+                best_ratio = min(ratio, best_ratio)
+                leaving, leaving_key = row, key
         if leaving < 0:
             return LpStatus.UNBOUNDED
         _pivot(tableau, basis, leaving, entering, objective_row)

@@ -1,5 +1,8 @@
-"""Shared fixtures and reference values for the bundled example corpus."""
+"""Shared fixtures: reference values for the bundled example corpus, and the
+benchmark's corpus generator and checker loaded from perfbench/."""
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from citedea import parse_aggregates, parse_h_values
 
 DATA = Path(__file__).parent / "data"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # reference efficiency scores for the example corpus, 3 decimals
 EXPECTED_EFFICIENCY = {
@@ -49,3 +53,24 @@ def aggregates15():
 @pytest.fixture(scope="session")
 def h_values15():
     return parse_h_values((DATA / "h_values.csv").read_text())
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """The corpora and check modules, registered under their own names while in use."""
+    saved = {name: sys.modules.get(name) for name in ("corpora", "check")}
+    modules = []
+    try:
+        for name in saved:  # check.py imports corpora by that name
+            spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module  # dataclasses look their module up there
+            spec.loader.exec_module(module)
+            modules.append(module)
+        yield modules
+    finally:
+        for name, module in saved.items():
+            if module is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = module

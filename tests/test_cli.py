@@ -18,6 +18,8 @@ PROFILES = str(DATA / "profiles.csv")
 PAPERS = str(DATA / "papers.csv")
 EMPTY = str(DATA / "empty.csv")
 RAY = str(DATA / "ray.csv")
+RAY100 = str(DATA / "ray100.csv")
+GENERATED100 = str(DATA / "generated100.csv")
 GOLDEN = DATA / "golden"
 
 # every command on both kinds of source; the files under tests/data/golden
@@ -52,6 +54,10 @@ GOLDEN_CASES = [
     # copies on one efficient ray: Bland's rule settles the ratio ties, and
     # the json weights pin which vertex it picks
     ("dea-ray.json", ("dea", "--aggregates", RAY, "--format", "json")),
+    # benchmark-sized sets, whose programs run into many more tolerance ties
+    # in the choice of the leaving row
+    ("dea-ray100.csv", ("dea", "--aggregates", RAY100, "--format", "csv")),
+    ("dea-generated100.csv", ("dea", "--aggregates", GENERATED100, "--format", "csv")),
 ]
 
 

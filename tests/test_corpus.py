@@ -102,10 +102,13 @@ class TestTypes:
             ((4,), ("2",), "authors must be a positive integer, got '2'"),
             ((2**63,), (1,), "citations must be at most 9223372036854775807"),
             ((1, 2), (2**63 - 1, 2**64), "authors must be at most 9223372036854775807"),
+            ((True, 3), (True, 2), "citations must be a non-negative integer, got True"),
+            ((4, 3), (1, True), "authors must be a positive integer, got True"),
         ],
         ids=[
             "float-citation", "zero-authors", "negative-citation", "string-authors",
-            "count-beyond-64-bits", "authors-beyond-64-bits",
+            "count-beyond-64-bits", "authors-beyond-64-bits", "bool-citation",
+            "bool-authors",
         ],
     )
     def test_profile_names_its_first_bad_count(self, citations, authors, message):
@@ -130,6 +133,32 @@ class TestTypes:
     def test_aggregate_rejects_negative_citations(self):
         with pytest.raises(ValueError, match="citations"):
             DmuAggregate(id="X", years=1, coauthors=1, citations=-2)
+
+    def test_profile_rejects_bool_career_years(self):
+        with pytest.raises(ValueError) as raised:
+            ResearcherProfile("X", True, (3,), (2,))
+        assert str(raised.value) == "career_years must be a positive integer, got True"
+
+    def test_int_subclasses_other_than_bool_are_counts(self):
+        class Count(int):
+            pass
+
+        profile = ResearcherProfile("X", Count(2), (Count(3), 4), (1, Count(2)))
+        assert profile.citations == (3, 4)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((True, 1, 5), "years must be a positive integer, got True"),
+            ((1, True, 5), "coauthors must be a positive integer, got True"),
+            ((1, 1, False), "citations must be a non-negative integer, got False"),
+        ],
+        ids=["bool-years", "bool-coauthors", "bool-citations"],
+    )
+    def test_aggregate_rejects_bool_counts(self, fields, message):
+        with pytest.raises(ValueError) as raised:
+            DmuAggregate("X", *fields)
+        assert str(raised.value) == message
 
     def test_aggregate_allows_zero_citations(self):
         assert DmuAggregate(id="X", years=1, coauthors=1, citations=0).citations == 0

@@ -220,6 +220,8 @@ class TestScientificImpactPenalized:
             PenaltyParams(a=0.0, b=0)
         with pytest.raises(ValueError, match=r"^b must be a positive integer, got 1\.5$"):
             PenaltyParams(a=0.0, b=1.5)
+        with pytest.raises(ValueError, match=r"^b must be a positive integer, got True$"):
+            PenaltyParams(a=0.0, b=True)
 
 
 class TestT:
@@ -254,6 +256,13 @@ class TestTThresholded:
             indices_of((PaperRecord(1, 1),), c_star=-1)
         with pytest.raises(ValueError, match=message):
             index_table([], c_star=-1)
+
+    def test_bool_threshold_is_rejected(self):
+        message = r"^c_star must be a non-negative integer, got False$"
+        with pytest.raises(ValueError, match=message):
+            indices_of((PaperRecord(1, 1),), c_star=False)
+        with pytest.raises(ValueError, match=message):
+            index_table([], c_star=False)
 
     @given(paper_lists, st.integers(min_value=1, max_value=40))
     def test_non_increasing_in_threshold(self, papers, years):

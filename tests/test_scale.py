@@ -1,42 +1,14 @@
 """CLI output on benchmark-sized corpora passes the benchmark's own checker.
 
 perfbench/corpora.py draws the seeded corpora and perfbench/check.py holds
-independent numpy and scipy references; both are loaded read-only from
-their files, as tests/test_traced_names.py loads spans.py.
+independent numpy and scipy references; conftest's ``bench`` fixture loads
+both read-only from their files.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
-import pytest
 
 from citedea import corpus
 from citedea.cli import main
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def bench():
-    """The corpora and check modules, registered under their own names while in use."""
-    saved = {name: sys.modules.get(name) for name in ("corpora", "check")}
-    modules = []
-    try:
-        for name in saved:  # check.py imports corpora by that name
-            spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
-            module = importlib.util.module_from_spec(spec)
-            sys.modules[name] = module  # dataclasses look their module up there
-            spec.loader.exec_module(module)
-            modules.append(module)
-        yield modules
-    finally:
-        for name, module in saved.items():
-            if module is None:
-                sys.modules.pop(name, None)
-            else:
-                sys.modules[name] = module
 
 
 def run_cli(capsys, tmp_path, command, drawn, *options):
@@ -77,5 +49,28 @@ def test_report_on_a_tied_ray_passes_the_checker(bench, capsys, tmp_path):
     _, out = run_cli(capsys, tmp_path, "report", drawn, "--format", "json")
     problems = check.check_profile_report_json(
         out, drawn, check.reference_indices(drawn), check.reference_dea(drawn)
+    )
+    assert problems == []
+
+
+def test_aggregate_report_with_h_values_passes_the_checker(bench, capsys, tmp_path):
+    # the dea-aggregates workload's invocation, on one of its corpora
+    corpora, check = bench
+    drawn = corpora.generate(np.random.default_rng([8, 0]), 100)
+    reference = check.reference_indices(drawn)
+    aggregates = tmp_path / "aggregates.csv"
+    h_values = tmp_path / "h.csv"
+    aggregates.write_text(drawn.aggregates_csv())
+    h_values.write_text(
+        "id,h\n" + "".join(f"{label},{h}\n" for label, h in zip(drawn.ids, reference["h"].tolist()))
+    )
+    code = main([
+        "report", "--aggregates", str(aggregates), "--h-values", str(h_values),
+        "--format", "csv",
+    ])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    problems = check.check_aggregate_report_csv(
+        captured.out, drawn, reference["h"], check.reference_dea(drawn)
     )
     assert problems == []
