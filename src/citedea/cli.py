@@ -21,6 +21,9 @@ from .corpus import (
 from .dea import DEFAULT_EPSILON, DeaError, DmuSet, ccr_all, frontier
 from .indices import PenaltyParams, index_table
 
+_CSV_ROWS = 4096  # rows per piece of CSV output
+
+
 def _cell(value, float_format: str) -> str:
     """Render one cell; floats use ``float_format`` ("" is the shortest round-trip form)."""
     if isinstance(value, bool):
@@ -55,9 +58,13 @@ def _csv_column(values: Sequence) -> list[str]:
     return [_cell(value, "") for value in values]
 
 
-def _render_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    columns = [_csv_column(column) for column in zip(*rows)]
-    return "\n".join([",".join(headers), *map(",".join, zip(*columns))]) + "\n"
+def _render_csv(headers: Sequence[str], columns: Sequence[Sequence]) -> str:
+    """``columns`` as CSV, rendered _CSV_ROWS rows at a time to bound the cell strings alive."""
+    parts = [",".join(headers) + "\n"]
+    for start in range(0, len(columns[0]) if columns else 0, _CSV_ROWS):
+        cells = [_csv_column(column[start : start + _CSV_ROWS]) for column in columns]
+        parts.append("".join(",".join(row) + "\n" for row in zip(*cells)))
+    return "".join(parts)
 
 
 def _json_rows(headers: Sequence[str], rows: Sequence[Sequence]) -> list[dict]:
@@ -70,7 +77,7 @@ def _render_json(data) -> str:
 
 def _emit(headers: Sequence[str], rows: Sequence[Sequence], output_format: str) -> str:
     if output_format == "csv":
-        return _render_csv(headers, rows)
+        return _render_csv(headers, list(zip(*rows)))
     if output_format == "json":
         return _render_json(_json_rows(headers, rows))
     return _render_table(headers, rows)
@@ -106,10 +113,12 @@ def _cmd_indices(options) -> str:
     # without career years, index_table gives only the first seven indices
     papers = parse_paper_columns(papers_text, profiles_text)
     table = index_table(papers, c_star=options.c_star, penalty=_penalty(options))
-    rows = list(zip(papers.ids, *table.values()))
-    # the rows hold what the output needs; drop the input before rendering
+    columns = [papers.ids, *table.values()]
+    # the columns hold what the output needs; drop the input before rendering
     del papers_text, papers
-    return _emit(["id", *table], rows, options.format)
+    if options.format == "csv":
+        return _render_csv(["id", *table], columns)
+    return _emit(["id", *table], list(zip(*columns)), options.format)
 
 
 def _cmd_dea(options) -> str:
@@ -210,7 +219,7 @@ def _cmd_report(options) -> str:
         return _render_json(data)
     if options.format == "csv":
         # correlations ride along as comment rows so the table still parses
-        text = _render_csv(headers, rows)
+        text = _render_csv(headers, list(zip(*rows)))
         for pair in correlation_rows:
             text += "# correlation," + ",".join(_cell(cell, "") for cell in pair) + "\n"
         return text

@@ -1,26 +1,29 @@
 """Data model, CSV ingestion, and aggregation for researcher publication data.
 
 Only ``\\n``, ``\\r\\n`` and ``\\r`` end a line.  The CSV reader cuts a file
-into chunks of about 64 KiB, split at newlines, and reads a plain chunk
-column by column: one split into lines, one split into cells, a width check
-by comma count, then one ``np.array(..., dtype=np.int64)`` and one ``min``
-per integer column.  numpy parses each cell as ``int()`` does and raises
-OverflowError for a count beyond int64, so no pass looks for counts above
-2**63-1.  A chunk holding anything else (non-ASCII text, comments, blank
-lines, whitespace, a bad cell, a count out of range, an empty or repeated
-id) is re-read by the per-line loop ``_Reader.by_line``.  That loop is the
-only source of error text, so the first bad line in file order is the one
-reported.  Both paths yield int64 columns.  A count below its bound is
-reported as ``<column> must be a positive integer, got <value>`` (or
-``non-negative``), by the reader and by the constructors of the public types
-alike; a count above 2**63-1 as ``<column> must be at most
-9223372036854775807``, by the reader and by the paper and profile types.
+into chunks of about 64 KiB, split at newlines, and reads each chunk's UTF-8
+bytes with a few whole-array numpy operations: one ``flatnonzero`` finds the
+separators, the width check compares their kinds, each integer cell is summed
+from its digit bytes in uint64, and only the first id of each run of rows with
+equal id bytes is decoded.  A chunk stays on this column path when every id,
+in any script, is non-empty, does not start with "#" and is unchanged by
+``str.strip()``, and every integer cell is 1 to 19 ASCII digits within bounds.
+Any other chunk (a comment or blank line, a wrong width, whitespace in or
+around a count, a sign, "_" or a non-ASCII digit, a count out of range, a
+repeated id where ids are unique, text that UTF-8 cannot encode) is re-read by
+the per-line loop ``_Reader.by_line``.  The column path never reports a fault,
+it only declines a chunk, so that loop is the only source of error text and
+the first bad line in file order is the one reported.  Both paths yield int64
+columns.  A count below its bound is reported as ``<column> must be a positive
+integer, got <value>`` (or ``non-negative``), by the reader and by the
+constructors of the public types alike; a count above 2**63-1 as ``<column>
+must be at most 9223372036854775807``, by the reader and by the paper and
+profile types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -28,12 +31,11 @@ import numpy as np
 _MAX_COUNT = 2**63 - 1  # the largest count any cell may hold
 # parse time is flat from 16 KiB to 512 KiB chunks; larger ones only raise peak memory
 _CHUNK_CHARS = 1 << 16
-# ASCII whitespace that str.strip() removes from a cell, and the comment mark;
-# a chunk holding any of them is read line by line
-_NOT_PLAIN = " \t\x0b\x0c\x1c\x1d\x1e\x1f#"
+_POWERS = np.array([10**place for place in range(19)], dtype=np.uint64)
 
-# line numbers, ids, then one int64 column per bounded column
-_Block = tuple[Sequence[int], list[str], list[np.ndarray]]
+# per run of rows with one id (by_line's runs are one row): its first line number,
+# id and row count; then one int64 column per bounded column, one entry per row
+_Block = tuple[Sequence[int], list[str], np.ndarray, list[np.ndarray]]
 
 
 class CorpusError(ValueError):
@@ -207,47 +209,77 @@ class _Reader:
             error = CorpusError(f"{self.name} line {number}: {fault}")
         if rows:
             self.rows += len(rows)
-            yield numbers, ids, [np.array(column, dtype=np.int64) for column in zip(*rows)]
+            columns = [np.array(column, dtype=np.int64) for column in zip(*rows)]
+            yield numbers, ids, np.ones(len(ids), dtype=np.int64), columns
         if error is not None:
             raise error
 
-    def at_once(self, lines: list[str], number: int) -> _Block | None:
-        """Read plain data ``lines`` column by column; None if any needs ``by_line``."""
-        text = ",".join(lines)
-        if not text.isascii() or any(mark in text for mark in _NOT_PLAIN):
+    def at_once(self, chunk: str, number: int) -> _Block | None:
+        """Read ``chunk``, whole lines from line ``number`` on; None if any needs ``by_line``."""
+        try:
+            raw = chunk.encode()
+        except UnicodeEncodeError:  # a lone surrogate
             return None
-        # a blank line has no comma, so it fails the width check too
-        if set(map(str.count, lines, repeat(","))) != {self.width - 1}:
+        data = np.frombuffer(raw, dtype=np.uint8)
+        newline = data == ord("\n")
+        marks = np.flatnonzero(newline | (data == ord(",")))
+        rows, width = np.count_nonzero(newline), self.width
+        # every width-th separator, and no other, ends a line; a blank line fails too
+        if len(marks) != rows * width or not newline[marks[width - 1 :: width]].all():
             return None
-        cells = text.split(",")
-        ids = cells[self.positions[0] :: self.width]
-        if "" in ids:
+        ends = marks.reshape(rows, width)
+        starts = np.concatenate(([0], marks[:-1] + 1)).reshape(rows, width)
+        # the id is each line's first cell, as a header starts with "id"; by_line
+        # strips each cell and skips a line that then starts with "#", so such a
+        # line, an empty id and an id that strip() changes are left to it
+        begin, end = starts[:, 0], ends[:, 0]
+        sizes = end - begin
+        if not sizes.all() or (data[begin] == ord("#")).any():
+            return None
+        # a row starts a run unless its id has the size and the bytes of the row
+        # before's, compared 8 bytes at a time from the end: words[e] holds the
+        # 8 bytes before offset e as one little-endian integer
+        words = np.ndarray((len(raw) + 1,), "<u8", bytes(8) + raw, strides=(1,))
+        fresh = np.ones(rows, dtype=bool)
+        row = np.flatnonzero(sizes[1:] == sizes[:-1]) + 1
+        cut, left = end[row], sizes[row]
+        while row.size:
+            shift = (8 * np.maximum(8 - left, 0)).astype(np.uint64)
+            same = (words[cut] >> shift) == (words[cut - end[row] + end[row - 1]] >> shift)
+            fresh[row[same & (left <= 8)]] = False
+            more = same & (left > 8)
+            row, cut, left = row[more], cut[more] - 8, left[more] - 8
+        heads = np.flatnonzero(fresh)
+        ids = [raw[a:b].decode() for a, b in zip(begin[heads].tolist(), end[heads].tolist())]
+        if any(map(str.__ne__, ids, map(str.strip, ids))):
+            return None
+        # each integer cell is 1 to 19 ASCII digits, summed as digit * 10**place
+        # in uint64, which holds every 19-digit number
+        begin, end = starts[:, self.positions[1:]].T.ravel(), ends[:, self.positions[1:]].T.ravel()
+        sizes = end - begin
+        if not (sizes.all() and sizes.max() <= 19):
+            return None
+        cells = np.cumsum(sizes) - sizes  # where each cell's digits start in ``at``
+        at = np.arange(cells[-1] + sizes[-1]) + np.repeat(begin - cells, sizes)
+        digits = data[at] - ord("0")  # wraps below "0", so every other byte reads above 9
+        values = np.add.reduceat(_POWERS[np.repeat(end, sizes) - at - 1] * digits, cells)
+        # a value above 2**63-1 wraps to a negative int64, below every bound
+        columns = values.astype(np.int64).reshape(-1, rows)
+        if digits.max() > 9 or (columns.min(axis=1) < list(self.bounds.values())).any():
             return None
         if self.unique:
             distinct = set(ids)
-            if len(distinct) < len(ids) or not distinct.isdisjoint(self.seen):
+            if len(distinct) < rows or not distinct.isdisjoint(self.seen):
                 return None
-        try:
-            # numpy parses a cell with no whitespace as int() does in by_line,
-            # and a count beyond int64 raises OverflowError
-            columns = [
-                np.array(cells[position :: self.width], dtype=np.int64)
-                for position in self.positions[1:]
-            ]
-        except (ValueError, OverflowError):
-            return None
-        if any(column.min() < low for column, low in zip(columns, self.bounds.values())):
-            return None
-        if self.unique:
             self.seen |= distinct
-        self.rows += len(lines)
-        return range(number, number + len(lines)), ids, columns
+        self.rows += rows
+        return (heads + number).tolist(), ids, np.diff(heads, append=rows), list(columns)
 
 
 def _records(
     text: str, bounds: dict[str, int], name: str, *, unique: bool = True
 ) -> Iterator[_Block]:
-    """Yield blocks of (line numbers, ids, integer columns in ``bounds`` order).
+    """Yield blocks of id runs and integer columns in ``bounds`` order (see _Block).
 
     Blocks come in file order, so a caller that checks each block before
     asking for the next one reports the first bad line in file order.
@@ -259,21 +291,22 @@ def _records(
     # "\r\n" that takes 8 ms on a 4.5 MB file with none (2-vCPU VM, Python 3.11)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text.endswith("\n"):
+        text += "\n"  # so that every line, and so every chunk, ends with one
     number = 1
     start = 0
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS)
         end = len(text) if end < 0 else end + 1
-        lines = text[start:end].removesuffix("\n").split("\n")
-        head = 0
-        while reader.header is None and head < len(lines):
-            yield from reader.by_line(lines[head : head + 1], number + head)
-            head += 1
-        rest = lines[head:]
-        if rest:
-            block = reader.at_once(rest, number + head)
-            yield from reader.by_line(rest, number + head) if block is None else (block,)
-        number += len(lines)
+        while reader.header is None and start < end:
+            stop = text.index("\n", start)
+            yield from reader.by_line([text[start:stop]], number)
+            number, start = number + 1, stop + 1
+        if start < end:
+            chunk = text[start:end]
+            block = reader.at_once(chunk, number)
+            yield from (block,) if block else reader.by_line(chunk[:-1].split("\n"), number)
+            number += chunk.count("\n")
         start = end
     if not reader.rows:
         raise CorpusError(f"{name}: no records")
@@ -313,25 +346,21 @@ def _paper_columns(papers_text: str, profiles_text: str | None = None) -> PaperC
     years = None
     if profiles_text is not None:
         years = []
-        for _, block, (column,) in _records(profiles_text, {"career_years": 1}, "profiles"):
+        for _, block, _, (column,) in _records(profiles_text, {"career_years": 1}, "profiles"):
             ids += block
             years += column.tolist()
     codes = {researcher: code for code, researcher in enumerate(ids)}
     owners, lengths, citations, authors = [], [], [], []
-    bounds = {"citations": 0, "authors": 1}
-    for numbers, block, (cited, counts) in _records(papers_text, bounds, "papers", unique=False):
-        start = 0
-        # a researcher's rows are usually contiguous, so code them a run at a time
-        for researcher, run in groupby(block):
+    papers = _records(papers_text, {"citations": 0, "authors": 1}, "papers", unique=False)
+    for numbers, block, runs, (cited, counts) in papers:
+        for number, researcher in zip(numbers, block):
             if years is not None and researcher not in codes:
-                raise CorpusError(
-                    f"papers line {numbers[start]}: unknown researcher id {researcher!r}"
-                )
+                raise CorpusError(f"papers line {number}: unknown researcher id {researcher!r}")
             owners.append(codes.setdefault(researcher, len(codes)))
-            lengths.append(len(list(run)))
-            start += lengths[-1]
+        lengths.append(runs)
         citations.append(cited)
         authors.append(counts)
+    lengths = np.concatenate(lengths)
     citations, authors = np.concatenate(citations), np.concatenate(authors)
     if np.any(np.diff(owners) < 0):  # rows not grouped by researcher in code order
         order = np.argsort(np.repeat(owners, lengths), kind="stable")
@@ -383,7 +412,7 @@ def parse_aggregates(text: str) -> list[DmuAggregate]:
     bounds = {"years": 1, "coauthors": 1, "citations": 0}
     return [
         DmuAggregate(researcher, *values)
-        for _, ids, counts in _records(text, bounds, "aggregates")
+        for _, ids, _, counts in _records(text, bounds, "aggregates")
         for researcher, *values in zip(ids, *(column.tolist() for column in counts))
     ]
 
@@ -391,7 +420,7 @@ def parse_aggregates(text: str) -> list[DmuAggregate]:
 def parse_h_values(text: str) -> dict[str, int]:
     """Parse ``id,h`` CSV text into a researcher-to-h mapping."""
     values: dict[str, int] = {}
-    for _, ids, (column,) in _records(text, {"h": 0}, "h-values"):
+    for _, ids, _, (column,) in _records(text, {"h": 0}, "h-values"):
         values.update(zip(ids, column.tolist()))
     return values
 

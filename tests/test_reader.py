@@ -7,6 +7,7 @@ same first error.
 """
 
 import json
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -18,6 +19,7 @@ from citedea import (
     corpus,
     parse_aggregates,
     parse_h_values,
+    parse_paper_columns,
     parse_papers,
     parse_profiles,
 )
@@ -25,15 +27,28 @@ from citedea import (
 PAPER_BOUNDS = {"citations": 0, "authors": 1}
 
 
+def gather(blocks, runs):
+    """Append each block's runs to ``runs`` as [first line, id, rows], joining a run
+    that goes on past the end of a block."""
+    for numbers, ids, lengths, counts in blocks:
+        assert sum(lengths.tolist()) == len(counts[0])
+        rows = zip(*(column.tolist() for column in counts))
+        for number, researcher, length in zip(numbers, ids, lengths.tolist()):
+            taken = list(islice(rows, length))
+            if runs and runs[-1][1] == researcher:
+                runs[-1][2] += taken
+            else:
+                runs.append([number, researcher, taken])
+
+
 def chunked(text, bounds=PAPER_BOUNDS, name="papers", unique=False):
-    """(rows, first error) from the chunked reader."""
-    rows = []
+    """(runs, first error) from the chunked reader."""
+    runs = []
     try:
-        for numbers, ids, counts in corpus._records(text, bounds, name, unique=unique):
-            rows += zip(numbers, ids, *counts)
+        gather(corpus._records(text, bounds, name, unique=unique), runs)
     except CorpusError as error:
-        return rows, str(error)
-    return rows, None
+        return runs, str(error)
+    return runs, None
 
 
 def lines_of(text):
@@ -43,17 +58,16 @@ def lines_of(text):
 
 
 def by_line(text, bounds=PAPER_BOUNDS, name="papers", unique=False):
-    """(rows, first error) from the per-line loop alone over the whole text."""
+    """(runs, first error) from the per-line loop alone over the whole text."""
     reader = corpus._Reader(bounds, name, unique)
-    rows = []
+    runs = []
     try:
-        for numbers, ids, counts in reader.by_line(lines_of(text), 1):
-            rows += zip(numbers, ids, *counts)
+        gather(reader.by_line(lines_of(text), 1), runs)
         if not reader.rows:
             raise CorpusError(f"{name}: no records")
     except CorpusError as error:
-        return rows, str(error)
-    return rows, None
+        return runs, str(error)
+    return runs, None
 
 
 def without_fast_path():
@@ -104,7 +118,44 @@ EXPLICIT = {
     "zero-authors-past-a-chunk-boundary": GOOD + "r001,5,0\n",
     "unknown-id-past-a-chunk-boundary": GOOD + "zz,5,1\n",
     "comment-past-a-chunk-boundary": GOOD + "# late\nr001, 5 ,1\n",
+    "non-ascii-ids": "é,1,2\né,3,4\nré1,5,6\nrésumé,7,8\nrésumé,9,1\n",
+    "arabic-indic-digit-in-authors": "a,1,2\nb,3,٣\n",
+    "nineteen-nines": f"a,1,2\nb,{'9' * 19},1\n",
+    "largest-count-in-authors": f"a,1,{2**63 - 1}\n",
+    "count-beyond-64-bits-in-authors": f"a,1,1\nb,1,{2**63}\n",
+    "zero-padded-to-20-characters": f"a,{'0' * 19}7,1\nb,1,{'0' * 19}1\n",
+    "ids-of-8-bytes": "abcdefgh,1,2\nabcdefgh,3,4\nabcdefgi,5,6\nbbcdefgh,7,8\nrésumé,9,1\n",
+    "ids-of-9-bytes-and-more": "abcdefghi,1,2\nabcdefghi,3,4\nbbcdefghi,5,6\nabcdefghij,7,8\n"
+    + "x" * 40 + ",1,1\n" + "x" * 40 + ",2,2\ny" + "x" * 39 + ",3,3\n" + "x" * 39 + "y,4,4\n",
+    "lone-surrogate-id": "a,1,2\n\udc80,3,4\n",
+    "comment-of-full-width": "a,1,2\n#b,3,4\nc,5,6\n",
+    "wide-then-narrow-row": "a,1,2\nb,3,4,5\n6,7\n",
+    "run-past-a-chunk-boundary": "id,citations,authors\n" + "r001,5,1\n" * 8000 + "r002,1,1\n",
+    **{
+        f"{kind}-{name}": text.format(space)
+        for name, space in {
+            "no-break-space": "\u00a0",
+            "line-separator": "\u2028",
+            "next-line": "\u0085",
+            "ideographic-space": "\u3000",
+        }.items()
+        for kind, text in {
+            "before-an-id": "a,1,2\n{}b,3,4\n",
+            "after-an-id": "a,1,2\nb{},3,4\n",
+            "inside-an-id": "a{0}b,1,2\na{0}b,3,4\nb,5,6\n",
+            "around-counts": "a,1,2\nb,{0}3,4{0}\n",
+            "inside-a-count": "a,1,2\nb,3{}4,5\n",
+        }.items()
+    },
 }
+PROFILES = "a,3\nb,5\né,4\nrésumé,6\nabcdefgh,2\nabcdefghi,2\n" + GOOD_PROFILES
+
+
+def columns_of(papers, profiles=None):
+    """Every field of parse_paper_columns' result, as plain values."""
+    read = parse_paper_columns(papers, profiles)
+    arrays = read.sizes, read.citations, read.authors
+    return read.ids, [(column.dtype.str, column.tolist()) for column in arrays], read.years
 
 
 @pytest.mark.parametrize("text", EXPLICIT.values(), ids=EXPLICIT.keys())
@@ -114,11 +165,17 @@ def test_reader_matches_the_per_line_loop(text):
 
 @pytest.mark.parametrize("text", EXPLICIT.values(), ids=EXPLICIT.keys())
 def test_parsers_match_the_per_line_loop(text):
-    profiles = "a,3\nb,5\n" + GOOD_PROFILES
-    fast = parsed(parse_profiles, profiles, text), parsed(parse_papers, text)
+    def every_parse():
+        return [
+            parsed(parse_profiles, PROFILES, text),
+            parsed(parse_papers, text),
+            parsed(columns_of, text, PROFILES),
+            parsed(columns_of, text),
+        ]
+
+    fast = every_parse()
     with without_fast_path():
-        slow = parsed(parse_profiles, profiles, text), parsed(parse_papers, text)
-    assert fast == slow
+        assert every_parse() == fast
 
 
 @pytest.mark.parametrize(
@@ -160,8 +217,11 @@ LAYOUTS = {
     "aggregates": ({"years": 1, "coauthors": 1, "citations": 0}, "aggregates", True),
     "h-values": ({"h": 0}, "h-values", True),
 }
-# cells int() reads, then counts one past either end of int64
-INT64_CELLS = ["007", "+5", "1_0", "-0", str(2**63 - 1), str(2**63), str(-(2**63) - 1)]
+# cells int() reads, then counts one past either end of int64 and past 19 digits
+INT64_CELLS = [
+    "007", "+5", "1_0", "-0", "٣", "\u00a05", "5\u3000", str(2**63 - 1), str(2**63),
+    str(-(2**63) - 1), "9" * 19, "0" * 19 + "7",
+]
 
 
 @pytest.mark.parametrize("cell", INT64_CELLS)
@@ -176,9 +236,11 @@ def test_integer_cells_read_alike_column_by_column_and_line_by_line(layout, colu
     lines = [",".join(row) for row in rows]
     text = "\n".join(lines) + "\n"
     assert chunked(text, bounds, name, unique) == by_line(text, bounds, name, unique)
-    # only a count within int64 and at or above its bound stays on the column path
-    block = corpus._Reader(bounds, name, unique).at_once(lines, 1)
-    assert (block is None) == (not bounds[column] <= int(cell) <= 2**63 - 1)
+    # only 1 to 19 ASCII digits, at or above the column's bound and at most
+    # 2**63-1, stay on the column path; "+5", "1_0" and "-0" go line by line
+    block = corpus._Reader(bounds, name, unique).at_once(text, 1)
+    digits = cell.isascii() and cell.isdigit() and len(cell) <= 19
+    assert (block is None) == (not (digits and bounds[column] <= int(cell) <= 2**63 - 1))
 
 
 @pytest.mark.parametrize("prefix", ["", "# read line by line\n"], ids=["columns", "lines"])
@@ -202,11 +264,14 @@ CELLS = st.one_of(
     st.sampled_from(
         ["0", "007", "+5", "1_000", "٣", "-4", "", "x", " 12 ", "9" * 19,
          str(2**63 - 1), str(2**63), "1 #", "\x0b3", "4\x0c", "\x1c5\x1d", "6\x1e",
-         "7\x0c8"]
+         "7\x0c8", "٣3", "\u00a07", "8\u2028", "\x859", "1\u30002", "0" * 19 + "1",
+         str(2**63 - 1).zfill(20)]
     ),
 )
 IDS = st.sampled_from(
-    ["a", "b", "c", "d", "", " a ", "é", "#a", "\x0ba", "a\x0c", "\x1cb\x1e", "c\x1d"]
+    ["a", "b", "c", "d", "", " a ", "é", "#a", "\x0ba", "a\x0c", "\x1cb\x1e", "c\x1d",
+     "ré", "résumé", "abcdefgh", "abcdefghi", "bbcdefghi", "\u00a0a", "a\u2028", "\x85b",
+     "c\u3000", "a\u00a0b", "\udc80"]
 )
 HEADERS = st.sampled_from(
     [None, "id,citations,authors", "id,authors,citations,extra", "ID, Citations ,authors",
@@ -228,6 +293,20 @@ def csv_texts(draw):
     ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     bom = draw(st.sampled_from(["", "\ufeff"]))
     return bom + ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def test_a_run_that_crosses_chunk_boundaries_reads_as_one_researcher():
+    text = "id,citations,authors\n" + "".join(f"résumé,{index},1\n" for index in range(50))
+    text += "b,1,1\n"
+    with mock.patch.object(corpus, "_CHUNK_CHARS", 64):
+        blocks = list(corpus._records(text, PAPER_BOUNDS, "papers", unique=False))
+        assert chunked(text) == by_line(text)
+        fast = columns_of(text)
+        with without_fast_path():
+            assert columns_of(text) == fast
+    assert len(blocks) > 3
+    ids, ((_, sizes), *_), _ = fast
+    assert (ids, sizes) == (["résumé", "b"], [50, 1])
 
 
 @given(text=csv_texts(), unique=st.booleans(), chunk=st.integers(min_value=1, max_value=40))

@@ -5,6 +5,8 @@ independent numpy and scipy references; conftest's ``bench`` fixture loads
 both read-only from their files.
 """
 
+from unittest import mock
+
 import numpy as np
 
 from citedea import corpus
@@ -27,9 +29,16 @@ def test_indices_on_2000_researchers_pass_the_checker(bench, capsys, tmp_path, m
     corpora, check = bench
     monkeypatch.setattr(corpus, "_CHUNK_CHARS", 1 << 17)
     drawn = corpora.generate(np.random.default_rng([8, 0]), 2000)
-    papers, out = run_cli(capsys, tmp_path, "indices", drawn, "--format", "csv")
+    with mock.patch.object(
+        corpus._Reader, "by_line", autospec=True, side_effect=corpus._Reader.by_line
+    ) as loop:
+        papers, out = run_cli(capsys, tmp_path, "indices", drawn, "--format", "csv")
     assert len(papers) > corpus._CHUNK_CHARS  # the reader sees more than one chunk
     assert check.check_indices_csv(out, drawn, check.reference_indices(drawn)) == []
+    # every data line stays on the column path; a silent fall back to the
+    # per-line loop would keep the output right and lose the speed
+    headers = [call.args[1:] for call in loop.call_args_list]
+    assert headers == [(["id,career_years"], 1), (["id,citations,authors"], 1)]
 
 
 def test_papers_alone_print_the_first_seven_profile_columns(bench, capsys, tmp_path):
