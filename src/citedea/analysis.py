@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import DmuAggregate, ResearcherProfile, aggregate
+from .corpus import DmuAggregate, PaperColumns, ResearcherProfile
 from .dea import DEFAULT_EPSILON, DmuSet, ccr_all
 from .indices import PenaltyParams, index_table
 
@@ -76,7 +76,7 @@ _RANKED_ORDER = ("t", "dea", "h", "g", "a", "r")
 
 
 def build_report(
-    profiles: Sequence[ResearcherProfile] | None = None,
+    profiles: Sequence[ResearcherProfile] | PaperColumns | None = None,
     aggregates: Sequence[DmuAggregate] | None = None,
     *,
     h_scores: Mapping[str, int] | None = None,
@@ -86,10 +86,11 @@ def build_report(
 ) -> MetricReport:
     """Assemble every computable metric, ranking, and correlation.
 
-    Exactly one of ``profiles`` and ``aggregates`` must be given.  The
-    columns are years, coauthors and citations, then every index in
-    INDEX_NAMES order with per-paper input, or the h column when aggregate
-    input comes with ``h_scores`` (one value per researcher), then dea.
+    Exactly one of ``profiles``, a list of profiles or a PaperColumns with
+    career years, and ``aggregates`` must be given.  The columns are years,
+    coauthors and citations, then every index in INDEX_NAMES order with
+    per-paper input, or the h column when aggregate input comes with
+    ``h_scores`` (one value per researcher), then dea.
     Rankings and correlations cover the rankable metrics present: t, dea,
     and h, plus g, a, and r with per-paper input.
     """
@@ -99,7 +100,8 @@ def build_report(
         raise AnalysisError("h_scores applies only to aggregate input")
 
     if profiles is not None:
-        aggregates = [aggregate(profile) for profile in profiles]
+        papers = PaperColumns.of(profiles)
+        aggregates = papers.aggregates()
     ids = tuple(item.id for item in aggregates)
 
     columns: dict[str, tuple] = {
@@ -108,7 +110,7 @@ def build_report(
         "citations": tuple(item.citations for item in aggregates),
     }
     if profiles is not None:
-        columns.update(index_table(profiles, c_star=c_star, penalty=penalty))
+        columns.update(index_table(papers, c_star=c_star, penalty=penalty))
     elif h_scores is not None:
         missing = [label for label in ids if label not in h_scores]
         if missing:

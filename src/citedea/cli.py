@@ -10,14 +10,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .analysis import AnalysisError, MetricReport, build_report
-from .corpus import (
-    CorpusError,
-    aggregate,
-    parse_aggregates,
-    parse_h_values,
-    parse_paper_columns,
-    parse_profiles,
-)
+from .corpus import CorpusError, parse_aggregates, parse_h_values, parse_paper_columns
 from .dea import DEFAULT_EPSILON, DeaError, DmuSet, ccr_all, frontier
 from .indices import PenaltyParams, index_table
 
@@ -94,13 +87,14 @@ def _read(path: str) -> str:
 
 
 def _load_profiles(options):
-    return parse_profiles(_read(options.profiles), _read(options.papers))
+    profiles_text = None if options.profiles is None else _read(options.profiles)
+    return parse_paper_columns(_read(options.papers), profiles_text)
 
 
 def _load_aggregates(options):
     if options.aggregates is not None:
         return parse_aggregates(_read(options.aggregates))
-    return [aggregate(profile) for profile in _load_profiles(options)]
+    return _load_profiles(options).aggregates()
 
 
 def _penalty(options) -> PenaltyParams:
@@ -108,14 +102,12 @@ def _penalty(options) -> PenaltyParams:
 
 
 def _cmd_indices(options) -> str:
-    papers_text = _read(options.papers)
-    profiles_text = None if options.profiles is None else _read(options.profiles)
     # without career years, index_table gives only the first seven indices
-    papers = parse_paper_columns(papers_text, profiles_text)
+    papers = _load_profiles(options)
     table = index_table(papers, c_star=options.c_star, penalty=_penalty(options))
     columns = [papers.ids, *table.values()]
     # the columns hold what the output needs; drop the input before rendering
-    del papers_text, papers
+    del papers
     if options.format == "csv":
         return _render_csv(["id", *table], columns)
     return _emit(["id", *table], list(zip(*columns)), options.format)
@@ -141,9 +133,7 @@ def _report(options) -> MetricReport:
     if options.aggregates is None:
         sources = {"profiles": _load_profiles(options)}
     else:
-        h_scores = None
-        if options.h_values is not None:
-            h_scores = parse_h_values(_read(options.h_values))
+        h_scores = None if options.h_values is None else parse_h_values(_read(options.h_values))
         aggregates = parse_aggregates(_read(options.aggregates))
         sources = {"aggregates": aggregates, "h_scores": h_scores}
     return build_report(

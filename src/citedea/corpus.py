@@ -24,7 +24,9 @@ profile types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,16 +59,6 @@ def _check_count(name: str, value: object, low: int, high: int | None = None) ->
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
     if high is not None and value > high:
         raise ValueError(f"{name} must be at most {high}")
-
-
-def _total(researcher: str, name: str, counts: Sequence[int]) -> int:
-    """The sum of a researcher's ``name`` counts; CorpusError if above 2**63-1."""
-    total = sum(counts)
-    if total > _MAX_COUNT:
-        raise CorpusError(
-            f"researcher {researcher!r}: {name} must total at most {_MAX_COUNT}, got {total}"
-        )
-    return total
 
 
 @dataclass(frozen=True)
@@ -328,11 +320,79 @@ class PaperColumns:
     authors: np.ndarray
     years: list[int] | None = None
 
+    @classmethod
+    def of(cls, researchers: Iterable[ResearcherProfile] | PaperColumns) -> PaperColumns:
+        """``researchers`` as columns: a PaperColumns as it is, profiles flattened in order."""
+        if isinstance(researchers, PaperColumns):
+            return researchers
+        profiles = list(researchers)
+        citations, authors = (
+            np.array(list(chain.from_iterable(map(attrgetter(field), profiles))), dtype=np.int64)
+            for field in ("citations", "authors")
+        )
+        sizes = np.array([len(profile.citations) for profile in profiles], dtype=np.int64)
+        years = [profile.career_years for profile in profiles]
+        return cls([profile.id for profile in profiles], sizes, citations, authors, years)
+
+    def __getitem__(self, researchers: slice) -> PaperColumns:
+        """The researchers in ``researchers``, a slice with no step, and their papers."""
+        first, last, _ = researchers.indices(len(self.ids))
+        begin, end = (int(self.sizes[:stop].sum()) for stop in (first, last))
+        years = None if self.years is None else self.years[first:last]
+        papers = self.citations[begin:end], self.authors[begin:end]
+        return PaperColumns(self.ids[first:last], self.sizes[first:last], *papers, years)
+
     def split(self, column: np.ndarray) -> list[list[int]]:
         """``column``, one of the paper columns, cut into one int list per researcher."""
         values = column.tolist()
         ends = np.cumsum(self.sizes).tolist()
         return [values[end - size : end] for size, end in zip(self.sizes.tolist(), ends)]
+
+    def totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each researcher's citation total and author total, as two int64 columns.
+
+        CorpusError names the first researcher, in order, whose citations or
+        authors total above 2**63-1; below that, running sums within a
+        researcher are exact in int64.  The largest count times the paper
+        count bounds every total, so counts are summed in Python only past it.
+        """
+        columns = {"citations": self.citations, "authors": self.authors}
+        bounds = [int(counts.max()) * len(counts) for counts in columns.values() if len(counts)]
+        if max(bounds, default=0) > _MAX_COUNT:
+            for researcher, *owned in zip(self.ids, *map(self.split, columns.values())):
+                for name, total in zip(columns, map(sum, owned)):
+                    if total > _MAX_COUNT:
+                        fault = f"{name} must total at most {_MAX_COUNT}, got {total}"
+                        raise CorpusError(f"researcher {researcher!r}: {fault}")
+        ends = np.cumsum(self.sizes)
+        # the running sums wrap alike in int64, so their differences are exact
+        citations, authors = (
+            np.diff(np.concatenate(([0], np.cumsum(counts)))[ends], prepend=0)
+            for counts in columns.values()
+        )
+        return citations, authors
+
+    def aggregates(self) -> list[DmuAggregate]:
+        """One DmuAggregate per researcher, in order: career years, author and citation totals.
+
+        CorpusError names the first researcher, in order, with no papers or
+        with a total above 2**63-1 (see ``totals``).
+        """
+        if self.years is None:
+            raise CorpusError(
+                "no career years to aggregate: read the papers text together with "
+                "its profiles text, as in parse_paper_columns(papers, profiles)"
+            )
+        empty = np.flatnonzero(self.sizes == 0)
+        if empty.size:
+            self[: empty[0]].totals()  # a total above 2**63-1 before it comes first
+            researcher = self.ids[empty[0]]
+            raise CorpusError(
+                f"researcher {researcher!r} has no papers to aggregate; add paper rows "
+                f"for {researcher!r} or remove it from the profiles file"
+            )
+        citations, authors = self.totals()
+        return list(map(DmuAggregate, self.ids, self.years, authors.tolist(), citations.tolist()))
 
 
 def _paper_columns(papers_text: str, profiles_text: str | None = None) -> PaperColumns:
@@ -373,9 +433,9 @@ def _paper_columns(papers_text: str, profiles_text: str | None = None) -> PaperC
 def parse_paper_columns(papers_text: str, profiles_text: str | None = None) -> PaperColumns:
     """Parse paper CSV text, and profile CSV text if given, into one PaperColumns.
 
-    This is the form ``index_table`` reads: ``index_table(parse_paper_columns(
-    papers, profiles))`` gives every index without building a profile per
-    researcher, and without ``profiles_text`` it gives the first seven.
+    This is the form ``index_table`` and ``build_report`` read, with no
+    profile built per researcher: ``index_table`` gives every index, or the
+    first seven without ``profiles_text``, and ``build_report`` needs it.
     """
     # the other parsers call _paper_columns, so a span traced around each
     # public parser never holds another one
@@ -426,18 +486,5 @@ def parse_h_values(text: str) -> dict[str, int]:
 
 
 def aggregate(profile: ResearcherProfile) -> DmuAggregate:
-    """Collapse a profile into its (years, coauthors, citations) DMU triple.
-
-    Its citations and its authors must each total at most 2**63-1.
-    """
-    if not profile.citations:
-        raise CorpusError(
-            f"researcher {profile.id!r} has no papers to aggregate; add paper rows "
-            f"for {profile.id!r} or remove it from the profiles file"
-        )
-    return DmuAggregate(
-        id=profile.id,
-        years=profile.career_years,
-        citations=_total(profile.id, "citations", profile.citations),
-        coauthors=_total(profile.id, "authors", profile.authors),
-    )
+    """A profile's (years, coauthors, citations) DMU triple: row 0 of its aggregates."""
+    return PaperColumns.of([profile]).aggregates()[0]

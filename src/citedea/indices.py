@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter, truediv
+from operator import truediv
 from typing import Iterable
 
 import numpy as np
 
-from .corpus import _MAX_COUNT, PaperColumns, ResearcherProfile, _check_count, _total
+from .corpus import PaperColumns, ResearcherProfile, _check_count
 
 # papers per chunk: enough to spread numpy's per-call cost, few enough that
 # the arrays stay small beside the paper columns themselves
@@ -46,32 +45,6 @@ class PenaltyParams:
 INDEX_NAMES = (
     "h", "g", "a", "r", "individual_h", "si", "si_penalized", "t", "t_thresholded",
 )
-
-
-def _columns_of(profiles: Iterable[ResearcherProfile]) -> PaperColumns:
-    """``profiles`` flattened into one PaperColumns, in their order."""
-    profiles = list(profiles)
-    citations, authors = (
-        np.array(list(chain.from_iterable(map(attrgetter(field), profiles))), dtype=np.int64)
-        for field in ("citations", "authors")
-    )
-    sizes = np.array([len(profile.citations) for profile in profiles], dtype=np.int64)
-    years = [profile.career_years for profile in profiles]
-    return PaperColumns([profile.id for profile in profiles], sizes, citations, authors, years)
-
-
-def _check_totals(papers: PaperColumns) -> None:
-    """Raise CorpusError unless each researcher's counts total at most 2**63-1.
-
-    Then a researcher's running sums are exact in int64 even where a sum
-    over the chunk wraps.  The largest count times the paper count bounds
-    every total, so only a chunk that fails that bound is summed in Python.
-    """
-    for field in ("citations", "authors"):
-        counts = getattr(papers, field)
-        if len(counts) and int(counts.max()) * len(counts) > _MAX_COUNT:
-            for researcher, owned in zip(papers.ids, papers.split(counts)):
-                _total(researcher, field, owned)
 
 
 def _running(values: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -109,7 +82,7 @@ def _chunk_table(papers: PaperColumns, c_star: int, penalty: PenaltyParams) -> d
 
     Without career years, only the first seven indices are computed.
     """
-    _check_totals(papers)
+    papers.totals()  # raises for a total above 2**63-1; below it, running sums are exact
     sizes, cited, authors = papers.sizes, papers.citations, papers.authors
     researchers = len(sizes)
     owner = np.repeat(np.arange(researchers), sizes)
@@ -138,7 +111,8 @@ def _chunk_table(papers: PaperColumns, c_star: int, penalty: PenaltyParams) -> d
         # float64 would round these counts before dividing; Python rounds only the quotient
         shares[inexact] = list(map(truediv, cited[inexact].tolist(), authors[inexact].tolist()))
     penalized = cited.astype(np.float64)
-    b = min(penalty.b, _MAX_COUNT)  # no count is larger, so a larger b charges no paper either
+    # no int64 count is larger, so a larger b charges no paper either
+    b = min(penalty.b, np.iinfo(np.int64).max)
     charged = authors > b
     with np.errstate(over="ignore"):  # a huge slope makes the divisor inf, as in Python
         penalized[charged] /= 1.0 + penalty.a * (authors[charged] - b)
@@ -195,7 +169,7 @@ def index_table(
     """
     _check_count("c_star", c_star, 0)
     penalty = PenaltyParams() if penalty is None else penalty
-    papers = researchers if isinstance(researchers, PaperColumns) else _columns_of(researchers)
+    papers = PaperColumns.of(researchers)
     names = INDEX_NAMES if papers.years is not None else INDEX_NAMES[:7]
     columns: dict[str, list] = {name: [] for name in names}
     ends = np.cumsum(papers.sizes)
@@ -204,14 +178,7 @@ def index_table(
         begin = int(ends[first] - papers.sizes[first])
         # the researchers whose papers end within _CHUNK_PAPERS, or one larger one
         last = max(first + 1, int(np.searchsorted(ends, begin + _CHUNK_PAPERS, side="right")))
-        chunk = PaperColumns(
-            papers.ids[first:last],
-            papers.sizes[first:last],
-            papers.citations[begin : ends[last - 1]],
-            papers.authors[begin : ends[last - 1]],
-            None if papers.years is None else papers.years[first:last],
-        )
-        for name, values in _chunk_table(chunk, c_star, penalty).items():
+        for name, values in _chunk_table(papers[first:last], c_star, penalty).items():
             columns[name] += values
         first = last
     return {name: tuple(values) for name, values in columns.items()}

@@ -103,7 +103,8 @@ def _optimize(
     """Pivot until no reduced cost improves the (maximized) objective row.
 
     Bland's rule on both choices: the entering column is the lowest-index
-    improving one, and ratio ties leave the lowest-index basic variable.
+    improving one, and of the rows within Harris's ratio bound the one with
+    the lowest-index basic variable leaves.
     """
     columns = tableau.shape[1] - 1
     # Bland's rule cannot cycle in exact arithmetic; the cap only guards
@@ -114,20 +115,13 @@ def _optimize(
             return LpStatus.OPTIMAL
         entering = int(improving[0])
         candidates = np.flatnonzero(tableau[:, entering] > PIVOT_TOL)
-        ratios = tableau[candidates, -1] / tableau[candidates, entering]
-        leaving, leaving_key = -1, math.inf
-        best_ratio = math.inf
-        for row, ratio, key in zip(
-            candidates.tolist(), ratios.tolist(), basis[candidates].tolist()
-        ):
-            if ratio < best_ratio - PIVOT_TOL or (
-                ratio <= best_ratio + PIVOT_TOL and key < leaving_key
-            ):
-                best_ratio = min(ratio, best_ratio)
-                leaving, leaving_key = row, key
-        if leaving < 0:
+        if not candidates.size:
             return LpStatus.UNBOUNDED
-        _pivot(tableau, basis, leaving, entering, objective_row)
+        steps, rhs = tableau[candidates, entering], tableau[candidates, -1]
+        # Harris: a pivot on a row with ratio <= min((rhs + PIVOT_TOL) / step) keeps
+        # every candidate's rhs >= -PIVOT_TOL; Bland: the lowest key of those leaves
+        tied = candidates[rhs / steps <= np.min((rhs + PIVOT_TOL) / steps)]
+        _pivot(tableau, basis, tied[np.argmin(basis[tied])], entering, objective_row)
     raise ArithmeticError("simplex iteration limit reached; program is ill conditioned")
 
 

@@ -1,14 +1,17 @@
 """Competition ranking, rank correlation, and report assembly."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from citedea import (
     AnalysisError,
+    CorpusError,
     DmuAggregate,
     ResearcherProfile,
+    aggregate,
     build_report,
+    parse_paper_columns,
     rank,
     rank_correlation,
 )
@@ -229,3 +232,56 @@ class TestBuildReport:
         # both efficiency scores tie at 1.0, so the dea vector has no variance
         assert report.columns["dea"] == (1.0, 1.0)
         assert report.correlations == ()
+
+
+def papers_csv(profiles):
+    """The papers of ``profiles`` as CSV rows: every first paper, then every second, and so on."""
+    rows = [
+        (position, f"{profile.id},{cited},{count}\n")
+        for profile in profiles
+        for position, (cited, count) in enumerate(zip(profile.citations, profile.authors))
+    ]
+    return "".join(row for _, row in sorted(rows, key=lambda row: row[0]))
+
+
+class TestPaperColumnsReport:
+    """build_report reads a profile list and parse_paper_columns' columns alike."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 40),
+                st.lists(st.tuples(st.integers(0, 60), st.integers(1, 9)), min_size=1, max_size=8),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(0, 30),
+    )
+    @settings(deadline=None)
+    def test_a_profile_list_and_its_columns_give_one_report(self, drawn, c_star):
+        profiles = [
+            ResearcherProfile(f"P{index}", years, *zip(*papers))
+            for index, (years, papers) in enumerate(drawn)
+        ]
+        profiles_text = "".join(f"{profile.id},{profile.career_years}\n" for profile in profiles)
+        columns = parse_paper_columns(papers_csv(profiles), profiles_text)
+        totals = [
+            DmuAggregate(
+                profile.id, profile.career_years, sum(profile.authors), sum(profile.citations)
+            )
+            for profile in profiles
+        ]
+        assert columns.aggregates() == [aggregate(profile) for profile in profiles] == totals
+        assume(any(any(profile.citations) for profile in profiles))  # else DEA has no output
+        report = build_report(profiles=columns, c_star=c_star)
+        assert report == build_report(profiles=profiles, c_star=c_star)
+
+    def test_columns_without_career_years_are_refused(self):
+        columns = parse_paper_columns(papers_csv(two_profiles()))
+        with pytest.raises(CorpusError) as caught:
+            build_report(profiles=columns)
+        assert str(caught.value) == (
+            "no career years to aggregate: read the papers text together with its "
+            "profiles text, as in parse_paper_columns(papers, profiles)"
+        )

@@ -541,6 +541,28 @@ class TestDataErrors:
                 "got 18446744073709551614\n"
             )
 
+    @pytest.mark.parametrize("command", ["dea", "frontier", "report"])
+    def test_the_first_faulty_researcher_in_profile_order_is_named(
+        self, capsys, tmp_path, command
+    ):
+        profiles = tmp_path / "profiles.csv"
+        papers = tmp_path / "papers.csv"
+        papers.write_text(f"a,1,1\nbig,{2**63 - 1},1\nbig,1,1\n")
+        no_papers = (
+            "error: researcher 'none' has no papers to aggregate; "
+            "add paper rows for 'none' or remove it from the profiles file\n"
+        )
+        too_many = (
+            "error: researcher 'big': citations must total at most 9223372036854775807, "
+            "got 9223372036854775808\n"
+        )
+        for order, expected in ((("none", "big"), no_papers), (("big", "none"), too_many)):
+            profiles.write_text("a,2\n" + "".join(f"{label},3\n" for label in order))
+            code, out, err = run(
+                capsys, command, "--profiles", str(profiles), "--papers", str(papers)
+            )
+            assert (code, out, err) == (1, "", expected)
+
     def test_form_feed_does_not_end_a_line(self, capsys, tmp_path):
         profiles = tmp_path / "profiles.csv"
         papers = tmp_path / "papers.csv"

@@ -389,6 +389,21 @@ class TestAggregate:
         profile = ResearcherProfile(id="X", career_years=1, citations=(0,), authors=(1,))
         assert aggregate(profile) == DmuAggregate(id="X", years=1, coauthors=1, citations=0)
 
+    def test_totals_that_wrap_across_researchers_stay_exact(self):
+        largest = 2**63 - 1
+        profiles = "x,2\ny,2\nz,1\n"
+        papers = f"x,{largest},{largest}\ny,{largest},{largest}\nz,{largest - 1},1\nz,1,2\n"
+        assert parse_paper_columns(papers, profiles).aggregates() == [
+            DmuAggregate("x", 2, largest, largest),
+            DmuAggregate("y", 2, largest, largest),
+            DmuAggregate("z", 1, 3, largest),
+        ]
+        # a researcher with no papers totals 0, wherever it stands
+        columns = parse_paper_columns(papers, "e,1\nx,2\nf,1\ny,2\nz,1\ng,1\n")
+        citations, authors = columns.totals()
+        assert citations.tolist() == [0, largest, 0, largest, largest, 0]
+        assert authors.tolist() == [0, largest, 0, largest, 3, 0]
+
     def test_zero_papers_is_an_error(self):
         with pytest.raises(CorpusError, match="no papers"):
             aggregate(ResearcherProfile(id="X", career_years=1))

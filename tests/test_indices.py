@@ -16,6 +16,7 @@ from citedea import (
     PaperRecord,
     PenaltyParams,
     ResearcherProfile,
+    build_report,
     compute_indices,
     index_table,
     parse_paper_columns,
@@ -473,3 +474,17 @@ class TestIndexTable:
         assert str(caught.value) == (
             f"researcher 'big': {column} must total at most 9223372036854775807, got {total}"
         )
+
+    def test_the_first_researcher_in_order_with_a_total_beyond_64_bits_is_named(self):
+        # p's authors fail before q's citations, whichever column is checked first
+        largest = 2**63 - 1
+        profiles = [
+            ResearcherProfile(id="p", career_years=1, citations=[1, 1], authors=[largest, 1]),
+            ResearcherProfile(id="q", career_years=1, citations=[largest, 1], authors=[1, 1]),
+        ]
+        for call in (index_table, build_report):
+            with pytest.raises(CorpusError) as caught:
+                call(profiles)
+            assert str(caught.value) == (
+                f"researcher 'p': authors must total at most {largest}, got {2**63}"
+            )

@@ -206,6 +206,20 @@ class TestAgainstScipy:
         assert checked > 10
 
 
+class TestNearTiedRatios:
+    def test_a_near_tie_leaves_the_row_with_the_least_ratio(self):
+        # row 0's ratio is 9e-10 above row 1's, within PIVOT_TOL; pivoting on
+        # the lower basis key, row 0, would push row 1's slack to -9e-6
+        constraints = np.array([[1e3], [1e4]])
+        rhs = np.array([1e3 + 9e-7, 1e4])
+        program = lp([1.0], inequalities=list(zip(constraints, rhs)))
+        solution = solve_lp(program)
+        assert solution.status is LpStatus.OPTIMAL
+        assert solution.objective_value == -scipy_reference(program).fun == 1.0
+        activity = constraints @ np.array(solution.variable_values)
+        assert np.all(activity <= rhs + lp_module.FEASIBILITY_TOL)
+
+
 class TestDeterminism:
     def test_identical_programs_solve_identically(self):
         program = lp(
@@ -245,20 +259,19 @@ def oracle_optimize(tableau, objective_row, basis, pivots):
                 break
         if entering < 0:
             return LpStatus.OPTIMAL
-        leaving = -1
-        best_ratio = math.inf
-        for row in range(tableau.shape[0]):
-            step = tableau[row, entering]
-            if step > lp_module.PIVOT_TOL:
-                ratio = tableau[row, -1] / step
-                if ratio < best_ratio - lp_module.PIVOT_TOL or (
-                    ratio <= best_ratio + lp_module.PIVOT_TOL
-                    and (leaving < 0 or basis[row] < basis[leaving])
-                ):
-                    best_ratio = min(ratio, best_ratio)
-                    leaving = row
-        if leaving < 0:
+        # Harris's bound over the candidate rows, then the lowest basis key
+        # among the rows whose ratio is within it
+        tol = lp_module.PIVOT_TOL
+        rows = [row for row in range(tableau.shape[0]) if tableau[row, entering] > tol]
+        if not rows:
             return LpStatus.UNBOUNDED
+        bound = min((tableau[row, -1] + tol) / tableau[row, entering] for row in rows)
+        leaving = -1
+        for row in rows:
+            if tableau[row, -1] / tableau[row, entering] <= bound and (
+                leaving < 0 or basis[row] < basis[leaving]
+            ):
+                leaving = row
         pivots.append((leaving, entering))
         oracle_pivot(tableau, basis, leaving, entering, objective_row)
     raise ArithmeticError("simplex iteration limit reached")
@@ -425,6 +438,7 @@ class TestRowLoopOracle:
         lp([1.0], inequalities=[((1.0,), 1.0), ((1.0,), 1 - 6e-10), ((1.0,), 1 - 12e-10)])
     )
     @example(lp([1.0, 1.0], inequalities=[((1.0, -1.0), 1.0)]))
+    @example(lp([1.0], inequalities=[((1e3,), 1e3 + 9e-7), ((1e4,), 1e4)]))
     @example(
         lp(
             [1.0, 2.0],

@@ -62,6 +62,26 @@ def test_report_on_a_tied_ray_passes_the_checker(bench, capsys, tmp_path):
     assert problems == []
 
 
+def test_a_ray_with_near_tied_ratios_scores_every_copy_efficient(bench, capsys, tmp_path):
+    # on this corpus a ratio test that counted rows as tied within PIVOT_TOL of
+    # the least ratio once pivoted ray05's program into an "unbounded" status
+    corpora, check = bench
+    drawn = corpora.with_ray(np.random.default_rng([62, 22]), 100)
+    _, out = run_cli(capsys, tmp_path, "report", drawn, "--format", "json")
+    problems = check.check_profile_report_json(
+        out, drawn, check.reference_indices(drawn), check.reference_dea(drawn)
+    )
+    assert problems == []
+    aggregates = tmp_path / "aggregates.csv"
+    aggregates.write_text(drawn.aggregates_csv())
+    assert main(["dea", "--aggregates", str(aggregates), "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    rays = {row[0]: row[-1] for row in rows if row[0].startswith("ray")}
+    assert rays == {f"ray{copy:02d}": "1.0" for copy in range(1, 21)}
+
+
 def test_aggregate_report_with_h_values_passes_the_checker(bench, capsys, tmp_path):
     # the dea-aggregates workload's invocation, on one of its corpora
     corpora, check = bench
