@@ -26,19 +26,14 @@ def _cell(value, float_format: str) -> str:
     return format(float(value), float_format)
 
 
-def _render_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    cells = [list(headers)]
-    for row in rows:
-        cells.append([_cell(value, ".3f") for value in row])
-    widths = [max(len(line[column]) for line in cells) for column in range(len(headers))]
-    lines = []
-    for line in cells:
-        rendered = [
-            cell.ljust(width) if column == 0 else cell.rjust(width)
-            for column, (cell, width) in enumerate(zip(line, widths))
-        ]
-        lines.append("  ".join(rendered).rstrip())
-    return "\n".join(lines) + "\n"
+def _render_table(headers: Sequence[str], columns: Sequence[Sequence]) -> str:
+    padded = []
+    for index, (header, column) in enumerate(zip(headers, columns)):
+        cells = [header, *(_cell(value, ".3f") for value in column)]
+        width = max(map(len, cells))
+        pad = str.ljust if index == 0 else str.rjust
+        padded.append([pad(cell, width) for cell in cells])
+    return "".join("  ".join(line).rstrip() + "\n" for line in zip(*padded))
 
 
 def _csv_column(values: Sequence) -> list[str]:
@@ -54,26 +49,27 @@ def _csv_column(values: Sequence) -> list[str]:
 def _render_csv(headers: Sequence[str], columns: Sequence[Sequence]) -> str:
     """``columns`` as CSV, rendered _CSV_ROWS rows at a time to bound the cell strings alive."""
     parts = [",".join(headers) + "\n"]
-    for start in range(0, len(columns[0]) if columns else 0, _CSV_ROWS):
+    for start in range(0, len(columns[0]), _CSV_ROWS):
         cells = [_csv_column(column[start : start + _CSV_ROWS]) for column in columns]
         parts.append("".join(",".join(row) + "\n" for row in zip(*cells)))
     return "".join(parts)
 
 
-def _json_rows(headers: Sequence[str], rows: Sequence[Sequence]) -> list[dict]:
-    return [dict(zip(headers, row)) for row in rows]
+def _json_rows(headers: Sequence[str], columns: Sequence[Sequence]) -> list[dict]:
+    return [dict(zip(headers, row)) for row in zip(*columns)]
 
 
 def _render_json(data) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def _emit(headers: Sequence[str], rows: Sequence[Sequence], output_format: str) -> str:
+def _emit(headers: Sequence[str], columns: Sequence[Sequence], output_format: str) -> str:
+    """One table, given as one sequence of values per header, in ``output_format``."""
     if output_format == "csv":
-        return _render_csv(headers, list(zip(*rows)))
+        return _render_csv(headers, columns)
     if output_format == "json":
-        return _render_json(_json_rows(headers, rows))
-    return _render_table(headers, rows)
+        return _render_json(_json_rows(headers, columns))
+    return _render_table(headers, columns)
 
 
 def _read(path: str) -> str:
@@ -108,25 +104,24 @@ def _cmd_indices(options) -> str:
     columns = [papers.ids, *table.values()]
     # the columns hold what the output needs; drop the input before rendering
     del papers
-    if options.format == "csv":
-        return _render_csv(["id", *table], columns)
-    return _emit(["id", *table], list(zip(*columns)), options.format)
+    return _emit(["id", *table], columns, options.format)
 
 
 def _cmd_dea(options) -> str:
     aggregates = _load_aggregates(options)
     scores = ccr_all(DmuSet.from_aggregates(aggregates), epsilon=options.epsilon)
-    headers = ["id", "years", "coauthors", "citations", "efficiency"]
-    rows = [
-        [item.id, item.years, item.coauthors, item.citations, score.score]
-        for item, score in zip(aggregates, scores)
-    ]
+    headers = ["id", "years", "coauthors", "citations"]
+    columns = [[getattr(item, field) for item in aggregates] for field in headers]
+    headers.append("efficiency")
+    columns.append([score.score for score in scores])
     if options.format == "json":
         # json also carries the weights behind each score, as two list columns
         headers += ["input_weights", "output_weights"]
-        for row, score in zip(rows, scores):
-            row += [list(score.input_weights), list(score.output_weights)]
-    return _emit(headers, rows, options.format)
+        columns += [
+            [list(score.input_weights) for score in scores],
+            [list(score.output_weights) for score in scores],
+        ]
+    return _emit(headers, columns, options.format)
 
 
 def _report(options) -> MetricReport:
@@ -144,33 +139,32 @@ def _report(options) -> MetricReport:
     )
 
 
-def _researcher_rows(
+def _researcher_table(
     report: MetricReport, metrics: Sequence[str]
-) -> tuple[list[str], list[list]]:
-    """One row per researcher: its id, the ``metrics`` columns, then every rank."""
+) -> tuple[list[str], list[Sequence]]:
+    """Headers and columns: each researcher's id, the ``metrics`` columns, then every rank."""
     headers = ["id", *metrics] + [f"{name}_rank" for name in report.rankings]
-    columns = [report.ids, *(report.columns[name] for name in metrics)]
-    return headers, [list(row) for row in zip(*columns, *report.rankings.values())]
+    metric_columns = (report.columns[name] for name in metrics)
+    return headers, [report.ids, *metric_columns, *report.rankings.values()]
 
 
 _CORRELATION_HEADERS = ("metric_a", "metric_b", "coefficient")
 
 
-def _correlation_rows(report: MetricReport) -> list[list]:
+def _correlation_columns(report: MetricReport) -> list[list]:
     return [
-        [pair.metric_a, pair.metric_b, pair.coefficient]
-        for pair in report.correlations
+        [getattr(pair, field) for pair in report.correlations]
+        for field in _CORRELATION_HEADERS
     ]
 
 
 def _cmd_rank(options) -> str:
-    headers, rows = _researcher_rows(_report(options), ())
-    return _emit(headers, rows, options.format)
+    return _emit(*_researcher_table(_report(options), ()), options.format)
 
 
 def _cmd_correlate(options) -> str:
     report = _report(options)
-    return _emit(_CORRELATION_HEADERS, _correlation_rows(report), options.format)
+    return _emit(_CORRELATION_HEADERS, _correlation_columns(report), options.format)
 
 
 def _cmd_frontier(options) -> str:
@@ -179,22 +173,19 @@ def _cmd_frontier(options) -> str:
     on_frontier = set(efficient)
     points = dmus.inputs / dmus.outputs[:, 0][:, None]
     headers = ["id", "years_per_citation", "coauthors_per_citation", "efficient"]
-    rows = [
-        [label, points[index, 0], points[index, 1], label in on_frontier]
-        for index, label in enumerate(dmus.ids)
-    ]
+    columns = [dmus.ids, *points.T.tolist(), [label in on_frontier for label in dmus.ids]]
     if options.format == "json":
-        return _render_json({"frontier": efficient, "points": _json_rows(headers, rows)})
-    return _emit(headers, rows, options.format)
+        return _render_json({"frontier": efficient, "points": _json_rows(headers, columns)})
+    return _emit(headers, columns, options.format)
 
 
 def _cmd_report(options) -> str:
     report = _report(options)
-    headers, rows = _researcher_rows(report, tuple(report.columns))
-    correlation_rows = _correlation_rows(report)
+    headers, columns = _researcher_table(report, tuple(report.columns))
+    correlations = _correlation_columns(report)
     if options.format == "json":
         data = {
-            "researchers": _json_rows(headers, rows),
+            "researchers": _json_rows(headers, columns),
             "rankings": {
                 name: [
                     {"id": researcher, "score": float(score), "rank": position}
@@ -204,22 +195,19 @@ def _cmd_report(options) -> str:
                 ]
                 for name, ranks in sorted(report.rankings.items())
             },
-            "correlations": _json_rows(_CORRELATION_HEADERS, correlation_rows),
+            "correlations": _json_rows(_CORRELATION_HEADERS, correlations),
         }
         return _render_json(data)
+    text = _emit(headers, columns, options.format)
     if options.format == "csv":
-        # correlations ride along as comment rows so the table still parses
-        text = _render_csv(headers, list(zip(*rows)))
-        for pair in correlation_rows:
-            text += "# correlation," + ",".join(_cell(cell, "") for cell in pair) + "\n"
+        # correlations ride along as comment rows, which the parsers skip
+        for line in _render_csv(_CORRELATION_HEADERS, correlations).splitlines(True)[1:]:
+            text += "# correlation," + line
         return text
-    text = _render_table(headers, rows)
     text += "\ncorrelations:\n"
-    if correlation_rows:
-        text += _render_table(_CORRELATION_HEADERS, correlation_rows)
-    else:
-        text += "(none)\n"
-    return text
+    if report.correlations:
+        return text + _emit(_CORRELATION_HEADERS, correlations, options.format)
+    return text + "(none)\n"
 
 
 def _add_paper_flags(parser: argparse.ArgumentParser) -> None:

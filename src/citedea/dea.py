@@ -171,8 +171,12 @@ def ccr_efficiency(
     """Solve the target DMU's program and return its efficiency and weights."""
     program = build_ccr_lp(dmus, target_index, epsilon)
     label = dmus.ids[target_index]
-    solution = solve_lp(program)
-    if solution.status is LpStatus.INFEASIBLE:
+    # the bounds alone put the target's weighted input above 1: the solver would
+    # find the program infeasible, or first overflow its shifted right hand side
+    with np.errstate(over="ignore"):
+        floor = program.constraints[0] @ program.lower_bounds
+    solution = None if floor > 1.0 + FEASIBILITY_TOL else solve_lp(program)
+    if solution is None or solution.status is LpStatus.INFEASIBLE:
         raise DeaError(
             f"no feasible weights for DMU {label!r} with epsilon {epsilon!r}; "
             f"lower the bound: the largest feasible epsilon for {label!r} is "
@@ -217,7 +221,8 @@ def frontier(dmus: DmuSet) -> list[str]:
     for index, value in enumerate(output):
         if value <= 0:
             raise DeaError(
-                f"DMU {dmus.ids[index]!r} has no output; its per-output point is undefined"
+                f"DMU {dmus.ids[index]!r} has no output; its per-output point is "
+                "undefined: remove it from the input or give it citations"
             )
     points = dmus.inputs / output[:, None]
     # a point's dominators all come before it in lexicographic order, and each

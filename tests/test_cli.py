@@ -186,6 +186,47 @@ class TestGoldenOutputs:
         assert (code, err) == (0, "")
         assert out == (GOLDEN / golden).read_text()
 
+    CSV_CASES = [(golden, argv) for golden, argv in GOLDEN_CASES if golden.endswith(".csv")]
+
+    @pytest.mark.parametrize("piece_rows", [1, 3])
+    @pytest.mark.parametrize(
+        "golden, argv", CSV_CASES, ids=[golden.replace(".", "-") for golden, _ in CSV_CASES]
+    )
+    def test_csv_pieces_join_without_a_seam(self, capsys, monkeypatch, golden, argv, piece_rows):
+        monkeypatch.setattr("citedea.cli._CSV_ROWS", piece_rows)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / golden).read_text()
+
+
+INPUTS = {
+    "aggregates": ("--aggregates", AGGREGATES),
+    "profiles": ("--profiles", PROFILES, "--papers", PAPERS),
+}
+
+
+@pytest.mark.parametrize("source", INPUTS)
+class TestExtremeOptionValues:
+    """Option values at the edge of their range give an exit code, not a traceback."""
+
+    @pytest.mark.parametrize("epsilon", ["1e305", "1.7e308"])
+    @pytest.mark.parametrize("command", ["dea", "rank", "correlate", "report"])
+    def test_epsilon_past_the_float_range(self, capsys, source, command, epsilon):
+        code, out, err = run(capsys, command, *INPUTS[source], "--epsilon", epsilon)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: no feasible weights for DMU ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--c-star", str(10**30)), ("--penalty-b", str(10**30)), ("--penalty-a", "inf")],
+    )
+    @pytest.mark.parametrize("command", ["rank", "correlate", "report"])
+    def test_index_option_at_its_extreme(self, capsys, source, command, flag, value):
+        code, out, err = run(capsys, command, *INPUTS[source], flag, value, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out
+
 
 class TestDeaCommand:
     def test_scores_against_reference(self, capsys):
@@ -322,6 +363,16 @@ class TestFrontierCommand:
         assert {row["id"] for row in rows if row["efficient"] == "true"} == {"R6", "R7"}
         r1 = next(row for row in rows if row["id"] == "R1")
         assert float(r1["years_per_citation"]) == pytest.approx(40 / 5977)
+
+    def test_zero_citation_row_names_the_fix(self, capsys, tmp_path):
+        aggregates = tmp_path / "zero.csv"
+        aggregates.write_text("a,10,20,0\nb,5,9,40\n")
+        code, out, err = run(capsys, "frontier", "--aggregates", str(aggregates))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: DMU 'a' has no output; its per-output point is undefined: "
+            "remove it from the input or give it citations\n"
+        )
 
 
 class TestReportCommand:

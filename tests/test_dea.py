@@ -1,5 +1,7 @@
 """DMU sets, the CCR efficiency programs, and the per-output frontier."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,40 @@ class TestCcrEfficiency:
         with pytest.raises(DeaError, match="no feasible weights"):
             ccr_efficiency(dmus, 1, epsilon=2 * largest)
 
+    @pytest.mark.parametrize("epsilon", [1e304, 1e305, 1.7e308])
+    def test_epsilon_past_the_float_range_is_reported(self, aggregates15, epsilon):
+        # epsilon times the inputs would overflow the solver's shifted right hand
+        # side; an overflow warning is an error under the pytest settings
+        dmus = DmuSet.from_aggregates(aggregates15)
+        with pytest.raises(
+            DeaError,
+            match=rf"^no feasible weights for DMU 'R1' with epsilon {re.escape(repr(epsilon))}; "
+            r"lower the bound: the largest feasible epsilon for 'R1' is 0\.0001419$",
+        ):
+            ccr_efficiency(dmus, 0, epsilon=epsilon)
+
+    @pytest.mark.parametrize(
+        "excess", [-1e-6, 0.0, 5e-8, 1e-7 - 1e-15, 1e-7, 1e-7 + 1e-15, 1.5e-7, 1e-6, 1.0]
+    )
+    def test_the_infeasible_epsilon_precheck_agrees_with_the_solver(
+        self, aggregates15, excess
+    ):
+        # input bounds that hold the target's weighted input at 1 + excess, and
+        # an output bound small enough that no other row binds
+        dmus = DmuSet.from_aggregates(aggregates15)
+        for target in range(dmus.size):
+            epsilon = (1e-12, *((1 + excess) / (2 * dmus.inputs[target])))
+            solution = solve_lp(build_ccr_lp(dmus, target, epsilon))
+            try:
+                score = ccr_efficiency(dmus, target, epsilon)
+            except DeaError as error:
+                assert "no feasible weights" in str(error)
+                assert solution.status is LpStatus.INFEASIBLE
+            else:
+                assert solution.status is LpStatus.OPTIMAL
+                weights = score.output_weights + score.input_weights
+                assert weights == solution.variable_values
+
     def test_zero_output_target_scores_zero(self):
         # the objective is 0 for every choice of weights, so the optimum is 0
         dmus = DmuSet(
@@ -283,7 +319,10 @@ class TestFrontier:
         dmus = DmuSet(
             ids=("A", "B"), inputs=[[1.0], [1.0]], outputs=[[0.0], [5.0]]
         )
-        with pytest.raises(DeaError, match="per-output point"):
+        with pytest.raises(
+            DeaError,
+            match="per-output point is undefined: remove it from the input or give it citations",
+        ):
             frontier(dmus)
 
     def test_multi_output_sets_are_rejected(self):
