@@ -301,7 +301,7 @@ def _records(
             number += chunk.count("\n")
         start = end
     if not reader.rows:
-        raise CorpusError(f"{name}: no records")
+        raise CorpusError(f"{name}: no records; add {','.join(reader.columns)} rows")
 
 
 @dataclass(frozen=True)

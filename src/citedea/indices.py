@@ -4,8 +4,11 @@
 reads a corpus as flat int64 columns (``corpus.PaperColumns``); a list of
 profiles is flattened into that form first.  It works a chunk of
 researchers at a time, cut by ``searchsorted`` on the running paper counts
-so that each chunk holds a bounded number of papers.  ``compute_indices``
-reads one row of a one-researcher table.
+so that each chunk holds a bounded number of papers.  A researcher's float
+sums (si, si_penalized and the thresholded sum) add its papers' terms one
+after another in input order, starting from 0.0, so each matches a
+per-profile loop bit for bit.  ``compute_indices`` reads one row of a
+one-researcher table.
 """
 
 from __future__ import annotations
@@ -54,29 +57,6 @@ def _running(values: np.ndarray, first: np.ndarray) -> np.ndarray:
     return sums - (sums - values)[first]
 
 
-def _in_paper_order(terms: np.ndarray, sizes: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Each column of ``terms`` summed per researcher, one paper at a time from 0.0.
-
-    np.sum and np.add.reduceat add pairwise, which changes the last bits;
-    np.add.accumulate adds paper after paper.  It runs over a block of
-    researchers whose paper counts share a power of two, each padded with
-    0.0 to the block's largest count, so padding at most doubles a block.
-    Terms are non-negative, so neither the padding nor starting from the
-    first paper instead of 0.0 changes a bit.
-    """
-    sums = np.zeros((len(sizes), terms.shape[1]))
-    exponents = np.frexp(sizes)[1]  # e for a count in [2**(e-1), 2**e), 0 for none
-    for exponent in set(exponents.tolist()) - {0}:
-        group = np.flatnonzero(exponents == exponent)
-        counts = sizes[group, None]
-        offsets = np.arange(counts.max())
-        present = offsets < counts
-        papers = terms[np.where(present, starts[group, None] + offsets, 0)]
-        papers[~present] = 0.0
-        sums[group] = np.add.accumulate(papers, axis=1)[:, -1]
-    return sums
-
-
 def _chunk_table(papers: PaperColumns, c_star: int, penalty: PenaltyParams) -> dict[str, list]:
     """Every index of ``papers``' researchers, as lists keyed in INDEX_NAMES order.
 
@@ -116,11 +96,15 @@ def _chunk_table(papers: PaperColumns, c_star: int, penalty: PenaltyParams) -> d
     charged = authors > b
     with np.errstate(over="ignore"):  # a huge slope makes the divisor inf, as in Python
         penalized[charged] /= 1.0 + penalty.a * (authors[charged] - b)
-    # adding 0.0 leaves a non-negative sum as it was, so dropped papers add 0.0
-    kept_shares = np.where(cited >= c_star, shares, 0.0)
-    si, si_penalized, kept = _in_paper_order(
-        np.stack((shares, penalized, kept_shares), axis=1), sizes, starts
-    ).T.tolist()
+    # bincount adds each researcher's terms paper after paper from 0.0, as a
+    # per-profile loop would; np.sum and np.add.reduceat add pairwise, which
+    # changes the last bits.  A chunk with no papers gives int zeros, hence
+    # the cast.  Adding 0.0 leaves a non-negative sum as it was, so dropped
+    # papers add 0.0.
+    si, si_penalized, kept = (
+        np.bincount(owner, terms, researchers).astype(np.float64).tolist()
+        for terms in (shares, penalized, np.where(cited >= c_star, shares, 0.0))
+    )
 
     # the last divisions and roots run on Python ints, as a per-profile loop would
     h_values = h.tolist()
@@ -163,7 +147,10 @@ def index_table(
     si_penalized sums citations / (1 + a * (authors - b)) for papers with
     more than b authors and plain citations for the rest, with a and b from
     ``penalty`` (no penalty by default); t is si per career year, and
-    t_thresholded counts only papers with at least ``c_star`` citations.  A
+    t_thresholded counts only papers with at least ``c_star`` citations.
+    The float sums behind si, si_penalized, t and t_thresholded add the
+    researcher's papers one after another in input order, starting from
+    0.0, so their last bits are those of a plain loop.  A
     researcher's citations and authors must each total at most 2**63-1; a
     larger total raises CorpusError naming the researcher.
     """

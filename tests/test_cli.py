@@ -167,13 +167,6 @@ class TestIndicesCommand:
             assert run(capsys, "indices", "--papers", str(papers), *options) == expected
             assert expected[0] == 0
 
-    def test_empty_papers_file(self, capsys):
-        code, out, err = run(capsys, "indices", "--papers", EMPTY)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:")
-        assert "no records" in err
-
 
 class TestGoldenOutputs:
     @pytest.mark.parametrize(
@@ -500,12 +493,45 @@ class TestUsageErrors:
         self.expect_usage_error(capsys)
 
 
+# each input file kind: an invocation that reads it from a given path, and
+# the columns its rows hold
+FILE_KINDS = {
+    "papers": (lambda path: ("indices", "--papers", path), "id,citations,authors"),
+    "profiles": (
+        lambda path: ("indices", "--papers", PAPERS, "--profiles", path), "id,career_years",
+    ),
+    "aggregates": (
+        lambda path: ("dea", "--aggregates", path), "id,years,coauthors,citations",
+    ),
+    "h-values": (
+        lambda path: ("report", "--aggregates", AGGREGATES, "--h-values", path), "id,h",
+    ),
+}
+
+
 class TestDataErrors:
-    def test_missing_file(self, capsys):
-        code, out, err = run(capsys, "dea", "--aggregates", "/no/such/file.csv")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:")
+    @pytest.mark.parametrize("kind", list(FILE_KINDS))
+    @pytest.mark.parametrize("unreadable", ["missing", "directory"])
+    def test_unreadable_file_names_the_path(self, capsys, tmp_path, kind, unreadable):
+        path = str(tmp_path / "absent.csv") if unreadable == "missing" else str(tmp_path)
+        argv, _ = FILE_KINDS[kind]
+        code, out, err = run(capsys, *argv(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(path) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", list(FILE_KINDS))
+    @pytest.mark.parametrize("content", ["comments", "header"])
+    def test_a_file_with_no_rows_names_its_columns(self, capsys, tmp_path, kind, content):
+        argv, columns = FILE_KINDS[kind]
+        path = EMPTY
+        if content == "header":
+            path = tmp_path / "header.csv"
+            path.write_text(columns + "\n")
+        code, out, err = run(capsys, *argv(str(path)))
+        assert (code, out) == (1, "")
+        assert err == f"error: {kind}: no records; add {columns} rows\n"
 
     def test_malformed_rows_report_line_numbers(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

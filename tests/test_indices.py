@@ -389,26 +389,52 @@ class TestIndexTable:
         for name, column in table.items():
             assert list(map(repr, column)) == [repr(values[name]) for values in expected]
 
-    def test_mixed_paper_counts_in_one_chunk_match_the_oracle(self):
-        # impact sums run over blocks of researchers whose paper counts share a
-        # power of two, each padded to the block's largest count
-        rng = np.random.default_rng(7)
-        profiles = [
-            ResearcherProfile(
-                id=f"p{number}",
-                career_years=3,
-                citations=rng.integers(0, 1000, size=count).tolist(),
-                authors=rng.integers(1, 30, size=count).tolist(),
-            )
-            for number, count in enumerate([0, 1, 2, 3, 5, 8, 13, 31, 32, 33, 40, 64, 65, 7, 0, 1])
-        ]
+    def test_mixed_paper_counts_in_one_chunk_match_the_oracle(self, monkeypatch):
+        rng = np.random.default_rng(8)
+
+        def profiles_of(counts):
+            return [
+                ResearcherProfile(
+                    id=f"p{number}",
+                    career_years=3,
+                    citations=rng.integers(0, 1000, size=count).tolist(),
+                    authors=rng.integers(1, 30, size=count).tolist(),
+                )
+                for number, count in enumerate(counts)
+            ]
+
+        short = [0, 1, 2, 3, 5, 8, 13, 31, 32, 33, 40, 64, 65, 7, 0, 1]
+        spread = profiles_of(short + [1_000, 5_000, 20_000, 2])
+        assert len(spread[-2].citations) > indices._CHUNK_PAPERS
+        for profile in spread[-4:-1]:
+            shares = np.divide(profile.citations, profile.authors)
+            # numpy's pairwise sum rounds each long researcher's shares
+            # otherwise, so only a sum that adds paper after paper matches
+            assert float(np.sum(shares)) != reduce(add, shares.tolist(), 0.0)
+        chunks = []
+        chunk_table = indices._chunk_table
+
+        def recorded(papers, *options):
+            chunks.append(papers.sizes.tolist())
+            return chunk_table(papers, *options)
+
+        monkeypatch.setattr(indices, "_chunk_table", recorded)
         penalty = PenaltyParams(a=0.3, b=3)
-        table = index_table(profiles, c_star=100, penalty=penalty)
-        for position, profile in enumerate(profiles):
-            expected = oracle_indices(profile, 100, penalty)
-            assert {name: repr(table[name][position]) for name in INDEX_NAMES} == {
-                name: repr(value) for name, value in expected.items()
-            }
+        # the longest researcher fills a chunk alone; in the second case the
+        # first chunk holds only paper-less researchers, and so no paper at all
+        for profiles, chunk_papers, chunk in [
+            (spread, indices._CHUNK_PAPERS, [20_000]),
+            (profiles_of([0, 0, 0, 4, 9]), 3, [0, 0, 0]),
+        ]:
+            chunks.clear()
+            monkeypatch.setattr(indices, "_CHUNK_PAPERS", chunk_papers)
+            table = index_table(profiles, c_star=100, penalty=penalty)
+            assert chunk in chunks
+            for position, profile in enumerate(profiles):
+                expected = oracle_indices(profile, 100, penalty)
+                assert {name: repr(table[name][position]) for name in INDEX_NAMES} == {
+                    name: repr(value) for name, value in expected.items()
+                }
 
     def test_paper_columns_give_the_profile_table(self, monkeypatch):
         monkeypatch.setattr(indices, "_CHUNK_PAPERS", 3)

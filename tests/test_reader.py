@@ -64,7 +64,7 @@ def by_line(text, bounds=PAPER_BOUNDS, name="papers", unique=False):
     try:
         gather(reader.by_line(lines_of(text), 1), runs)
         if not reader.rows:
-            raise CorpusError(f"{name}: no records")
+            raise CorpusError(f"{name}: no records; add {','.join(reader.columns)} rows")
     except CorpusError as error:
         return runs, str(error)
     return runs, None

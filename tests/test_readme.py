@@ -1,12 +1,13 @@
-"""The README's group.csv examples run as printed."""
+"""The README's group.csv examples run as printed, and it documents the whole CLI."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from citedea.cli import main
+from citedea.cli import build_parser, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, flags=re.MULTILINE | re.DOTALL)
@@ -47,3 +48,23 @@ def test_library_use_block_runs(group_dir, capsys):
     (code,) = [body for language, body in BLOCKS if language == "python"]
     exec(compile(code, "README.md", "exec"), {})
     assert "{'alice': 2, 'bram': 4, 'chen': 1, 'dina': 3}" in capsys.readouterr().out
+
+
+def test_readme_documents_every_command_and_flag():
+    (commands,) = [
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    section = README.split("\n## Commands\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `([\w-]+)` \|", section, flags=re.MULTILINE) == list(commands)
+    flags = {
+        option
+        for command in commands.values()
+        for action in command._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    assert flags  # so that an empty set cannot pass
+    assert [flag for flag in sorted(flags) if not re.search(rf"{flag}(?![\w-])", README)] == []
