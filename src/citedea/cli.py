@@ -72,7 +72,8 @@ def _emit(headers: Sequence[str], columns: Sequence[Sequence], output_format: st
     return _render_table(headers, columns)
 
 
-def _read(path: str) -> str:
+def _read(path: str, flag: str) -> str:
+    """The text of the file that ``flag`` names; a file that cannot be read is a data error."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as error:
@@ -80,16 +81,23 @@ def _read(path: str) -> str:
             f"{path} is not UTF-8 text (byte 0x{error.object[error.start]:02x} at offset "
             f"{error.start}); save it as UTF-8"
         ) from None
+    except FileNotFoundError:
+        problem = "no such file; check the path"
+    except IsADirectoryError:
+        problem = "is a directory; give the path of a CSV file"
+    except OSError as error:
+        problem = error.strerror or str(error)
+    raise CorpusError(f"{flag} {path!r}: {problem}")
 
 
 def _load_profiles(options):
-    profiles_text = None if options.profiles is None else _read(options.profiles)
-    return parse_paper_columns(_read(options.papers), profiles_text)
+    profiles_text = None if options.profiles is None else _read(options.profiles, "--profiles")
+    return parse_paper_columns(_read(options.papers, "--papers"), profiles_text)
 
 
 def _load_aggregates(options):
     if options.aggregates is not None:
-        return parse_aggregates(_read(options.aggregates))
+        return parse_aggregates(_read(options.aggregates, "--aggregates"))
     return _load_profiles(options).aggregates()
 
 
@@ -128,8 +136,10 @@ def _report(options) -> MetricReport:
     if options.aggregates is None:
         sources = {"profiles": _load_profiles(options)}
     else:
-        h_scores = None if options.h_values is None else parse_h_values(_read(options.h_values))
-        aggregates = parse_aggregates(_read(options.aggregates))
+        h_scores = None
+        if options.h_values is not None:
+            h_scores = parse_h_values(_read(options.h_values, "--h-values"))
+        aggregates = parse_aggregates(_read(options.aggregates, "--aggregates"))
         sources = {"aggregates": aggregates, "h_scores": h_scores}
     return build_report(
         **sources,

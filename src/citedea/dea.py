@@ -175,7 +175,13 @@ def ccr_efficiency(
     # find the program infeasible, or first overflow its shifted right hand side
     with np.errstate(over="ignore"):
         floor = program.constraints[0] @ program.lower_bounds
-    solution = None if floor > 1.0 + FEASIBILITY_TOL else solve_lp(program)
+    try:
+        solution = None if floor > 1.0 + FEASIBILITY_TOL else solve_lp(program)
+    except ArithmeticError:
+        raise DeaError(
+            f"efficiency program for DMU {label!r} hit the simplex iteration limit; "
+            "check its counts for extreme values"
+        ) from None
     if solution is None or solution.status is LpStatus.INFEASIBLE:
         raise DeaError(
             f"no feasible weights for DMU {label!r} with epsilon {epsilon!r}; "

@@ -3,8 +3,9 @@
 The solver targets the programs produced by the efficiency module: a few
 weight variables and one row per DMU plus the normalization row.  Bland's
 rule guards against cycling and makes every run of the same program pivot
-identically.  A pivot updates the tableau in one vectorized step with the
-same arithmetic as a loop over its rows, so each entry keeps its bits.
+identically.  A pivot rewrites only the rows with a nonzero factor, at the
+pivot row's nonzero columns, in one vectorized step with the arithmetic of a
+row loop, so each entry keeps its bits.
 """
 
 from __future__ import annotations
@@ -87,11 +88,15 @@ def _pivot(
     pivot_row /= pivot_row[column]
     # each other row with a nonzero factor f becomes row - f * pivot_row, a
     # product and a difference rounded apart as a row loop would round them;
-    # entries under a zero of the pivot row keep their value
-    others = np.flatnonzero(tableau[:, column])
-    others = others[others != row]
-    nonzero = np.flatnonzero(pivot_row)
-    tableau[np.ix_(others, nonzero)] -= tableau[others, column, None] * pivot_row[nonzero]
+    # entries under a zero of the pivot row keep their value.  The pivot row's
+    # own factor is zeroed, and the block is found by flat index into the
+    # C-contiguous tableau, whose ravel is a view.
+    factors = tableau[:, column].copy()
+    factors[row] = 0.0
+    others = factors.nonzero()[0]
+    nonzero = pivot_row.nonzero()[0]
+    cells = nonzero[:, None] + others * tableau.shape[1]
+    tableau.ravel()[cells] -= pivot_row[nonzero][:, None] * factors[others]
     if objective_row is not None and objective_row[column] != 0.0:
         objective_row -= objective_row[column] * pivot_row
     basis[row] = column
@@ -106,22 +111,23 @@ def _optimize(
     improving one, and of the rows within Harris's ratio bound the one with
     the lowest-index basic variable leaves.
     """
-    columns = tableau.shape[1] - 1
+    reduced, rhs = objective_row[:-1], tableau[:, -1]
     # Bland's rule cannot cycle in exact arithmetic; the cap only guards
     # against float-tolerance stalls turning into a hang
-    for _ in range(10_000 + 100 * columns):
-        improving = np.flatnonzero(objective_row[:-1] < -PIVOT_TOL)
-        if not improving.size:
+    for _ in range(10_000 + 100 * len(reduced)):
+        improving = reduced < -PIVOT_TOL
+        entering = improving.argmax()
+        if not improving[entering]:
             return LpStatus.OPTIMAL
-        entering = int(improving[0])
-        candidates = np.flatnonzero(tableau[:, entering] > PIVOT_TOL)
+        column = tableau[:, entering]
+        candidates = (column > PIVOT_TOL).nonzero()[0]
         if not candidates.size:
             return LpStatus.UNBOUNDED
-        steps, rhs = tableau[candidates, entering], tableau[candidates, -1]
+        steps, bounds = column[candidates], rhs[candidates]
         # Harris: a pivot on a row with ratio <= min((rhs + PIVOT_TOL) / step) keeps
         # every candidate's rhs >= -PIVOT_TOL; Bland: the lowest key of those leaves
-        tied = candidates[rhs / steps <= np.min((rhs + PIVOT_TOL) / steps)]
-        _pivot(tableau, basis, tied[np.argmin(basis[tied])], entering, objective_row)
+        tied = candidates[bounds / steps <= ((bounds + PIVOT_TOL) / steps).min()]
+        _pivot(tableau, basis, tied[basis[tied].argmin()], entering, objective_row)
     raise ArithmeticError("simplex iteration limit reached; program is ill conditioned")
 
 
@@ -132,59 +138,52 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     hand sides are normalized non-negative, and artificial variables carry
     phase one.  The result is deterministic for identical input.
     """
-    size = lp.variable_count
-    shift = lp.lower_bounds
+    size, shift = lp.variable_count, lp.lower_bounds
     # one dot per row: a single matrix-vector product may sum in another order
     rhs = lp.rhs - np.array([row @ shift for row in lp.constraints])
     flip = rhs < 0
     inequality = np.arange(len(rhs)) >= lp.equalities
-    le, ge = inequality & ~flip, inequality & flip
-    artificial = ~le
+    artificial = flip | ~inequality
 
     # columns: the variables, a slack per inequality row, an artificial per
     # row that is not <=, then the right hand side
-    first_artificial = size + int(np.count_nonzero(le | ge))
+    first_artificial = size + len(rhs) - lp.equalities
     total = first_artificial + int(np.count_nonzero(artificial))
-    slack_column = size + np.cumsum(le | ge) - 1
+    slack_column = size + np.cumsum(inequality) - 1
     artificial_column = first_artificial + np.cumsum(artificial) - 1
     tableau = np.zeros((len(rhs), total + 1))
     tableau[:, :size] = np.where(flip[:, None], -lp.constraints, lp.constraints)
     tableau[:, -1] = np.where(flip, -rhs, rhs)
-    tableau[le, slack_column[le]] = 1.0
-    tableau[ge, slack_column[ge]] = -1.0
+    tableau[inequality, slack_column[inequality]] = np.where(flip[inequality], -1.0, 1.0)
     tableau[artificial, artificial_column[artificial]] = 1.0
-    basis = np.where(le, slack_column, artificial_column)
+    basis = np.where(artificial, artificial_column, slack_column)
 
     if artificial.any():
-        # phase one maximizes minus the sum of the artificials; its reduced
-        # row is that cost row less each artificial's basic row, in row order
-        phase_one = np.zeros(total + 1)
-        phase_one[first_artificial:total] = 1.0
-        for row in tableau[artificial]:
-            phase_one -= row
+        # phase one maximizes minus the sum of the artificials; its reduced row is
+        # that cost row less each artificial's basic row, folded in row order
+        stacked = np.vstack((np.zeros(total + 1), tableau[artificial]))
+        stacked[0, first_artificial:total] = 1.0
+        phase_one = np.subtract.reduce(stacked)
         _optimize(tableau, phase_one, basis)
         if phase_one[-1] < -FEASIBILITY_TOL:
             return LpSolution(LpStatus.INFEASIBLE, math.nan, ())
         # pivot leftover artificials out of the basis; rows that offer no
         # pivot are redundant restatements of other rows and are dropped
-        drop = []
-        for position in np.flatnonzero(basis >= first_artificial):
-            candidates = np.flatnonzero(
-                np.abs(tableau[position, :first_artificial]) > PIVOT_TOL
-            )
+        for position in (basis >= first_artificial).nonzero()[0]:
+            candidates = (np.abs(tableau[position, :first_artificial]) > PIVOT_TOL).nonzero()[0]
             if candidates.size:
                 _pivot(tableau, basis, position, candidates[0])
-            else:
-                drop.append(position)
-        tableau = np.delete(tableau, drop, axis=0)
-        basis = np.delete(basis, drop)
-        tableau = np.delete(tableau, np.s_[first_artificial:total], axis=1)
+        # the rhs moves onto the first artificial column, and the copy keeps the
+        # columns up to it and the rows whose basic variable is not artificial
+        kept = basis < first_artificial
+        tableau[:, first_artificial] = tableau[:, -1]
+        tableau, basis = tableau[kept, : first_artificial + 1], basis[kept]
 
     # price the basic columns out of the cost row; each is a unit column, so
     # the multiplier read for a row is not changed by the rows before it
     phase_two = np.zeros(tableau.shape[1])
     phase_two[:size] = -lp.objective
-    for position in np.flatnonzero(phase_two[basis]):
+    for position in phase_two[basis].nonzero()[0]:
         phase_two -= phase_two[basis[position]] * tableau[position]
     if _optimize(tableau, phase_two, basis) is LpStatus.UNBOUNDED:
         return LpSolution(LpStatus.UNBOUNDED, math.nan, ())

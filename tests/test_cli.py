@@ -520,6 +520,9 @@ class TestDataErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(path) in err
         assert "Traceback" not in err
+        # the flag that named the file, and no errno
+        assert err.startswith(f"error: --{kind} {path!r}: ")
+        assert "[Errno" not in err
 
     @pytest.mark.parametrize("kind", list(FILE_KINDS))
     @pytest.mark.parametrize("content", ["comments", "header"])
@@ -659,7 +662,10 @@ class TestDataErrors:
         code, out, err = run(capsys, "dea", "--aggregates", AGGREGATES)
         assert code == 1
         assert out == ""
-        assert err == "error: simplex iteration limit reached\n"
+        assert err == (
+            "error: efficiency program for DMU 'R1' hit the simplex iteration limit; "
+            "check its counts for extreme values\n"
+        )
 
 
 class TestOutputEncoding:

@@ -2,6 +2,7 @@
 and bit-identity with the row-by-row solver it replaced."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -470,3 +471,16 @@ class TestRowLoopOracle:
         dmus = DmuSet.from_aggregates(parse_aggregates(drawn.aggregates_csv()))
         target = data.draw(st.integers(0, size - 1))
         assert assert_solves_as_the_oracle(build_ccr_lp(dmus, target)) is LpStatus.OPTIMAL
+
+    @pytest.mark.parametrize(
+        "name, copies",
+        # ray100 holds 20 k-fold copies of one efficient researcher, ray01..ray20
+        [("ray100.csv", ("ray01", "ray02", "ray20")), ("generated100.csv", ())],
+    )
+    def test_ccr_programs_at_the_benchmark_size_solve_as_the_oracle(self, name, copies):
+        text = (Path(__file__).parent / "data" / name).read_text()
+        dmus = DmuSet.from_aggregates(parse_aggregates(text))
+        # the first and last targets, every 10th, and the named ray copies
+        targets = {*range(0, dmus.size, 10), dmus.size - 1, *map(dmus.ids.index, copies)}
+        for target in sorted(targets):
+            assert assert_solves_as_the_oracle(build_ccr_lp(dmus, target)) is LpStatus.OPTIMAL
