@@ -77,10 +77,10 @@ def _read(path: str, flag: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as error:
-        raise CorpusError(
-            f"{path} is not UTF-8 text (byte 0x{error.object[error.start]:02x} at offset "
+        problem = (
+            f"not UTF-8 text (byte 0x{error.object[error.start]:02x} at offset "
             f"{error.start}); save it as UTF-8"
-        ) from None
+        )
     except FileNotFoundError:
         problem = "no such file; check the path"
     except IsADirectoryError:

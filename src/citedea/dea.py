@@ -5,11 +5,19 @@ outputs.  A DMU's efficiency is the best weighted-output total it can reach
 with its own weighted inputs normalized to one, subject to no DMU in the set
 beating its inputs under the same weights, and with every weight held at
 least ``epsilon`` away from zero.  One linear program is solved per DMU.
+
+With one output, a DMU's row u * y_j <= v . x_j is implied, for every v >= 0,
+by the row of any DMU whose per-output input point is no worse in every
+coordinate, and a DMU with no output has the row 0 <= v . x_j, which always
+holds.  So each program holds only the normalization row, the rows of the
+DMUs on the per-output frontier, and the target's own row; a set with more
+than one output keeps a row for every DMU.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -85,6 +93,33 @@ class DmuSet:
     def output_count(self) -> int:
         return self.outputs.shape[1]
 
+    @cached_property
+    def binding_rows(self) -> np.ndarray:
+        """Indices, in input order, of the DMUs whose rows every program keeps.
+
+        For one output these are the DMUs with a positive output whose
+        per-output point no other DMU dominates; every other DMU's row is
+        implied by one of theirs.  With more outputs every DMU is kept.
+        """
+        rows = np.arange(self.size)
+        if self.output_count == 1:
+            output = self.outputs[:, 0]
+            rows = rows[output > 0]
+            points = self.inputs[rows] / output[rows, None]
+            # a point's dominators all come before it in lexicographic order,
+            # and each dominated point has a dominator on the frontier, so
+            # every point is tested against the frontier points found before it
+            kept = np.zeros(len(rows), dtype=bool)
+            front = points[:0]
+            for index in np.lexsort(points.T[::-1]):
+                point = points[index]
+                if not np.any(np.all(front <= point, axis=1) & np.any(front < point, axis=1)):
+                    kept[index] = True
+                    front = np.vstack([front, point])
+            rows = rows[kept]
+        rows.setflags(write=False)
+        return rows
+
 
 @dataclass(frozen=True)
 class EfficiencyScore:
@@ -126,9 +161,11 @@ def build_ccr_lp(
 
     Variables are the output weights u_1..u_s followed by the input weights
     v_1..v_m.  The objective is the target's weighted output, the target's
-    weighted input is pinned to one, every DMU's weighted output may not
-    exceed its weighted input, and all weights are bounded below by
-    ``epsilon`` (a scalar, or one bound per weight in variable order).
+    weighted input is pinned to one, and all weights are bounded below by
+    ``epsilon`` (a scalar, or one bound per weight in variable order).  The
+    weighted output may not exceed the weighted input for the DMUs of
+    ``dmus.binding_rows`` and the target, one ``<=`` row each in input order;
+    those rows imply the same bound for every other DMU.
     """
     if not 0 <= target_index < dmus.size:
         raise DeaError(
@@ -137,11 +174,14 @@ def build_ccr_lp(
     s = dmus.output_count
     m = dmus.input_count
     normalization = np.concatenate([np.zeros(s), dmus.inputs[target_index]])
+    rows = np.union1d(dmus.binding_rows, [target_index])
     return LinearProgram(
         objective=np.concatenate([dmus.outputs[target_index], np.zeros(m)]),
-        constraints=np.vstack([normalization, np.hstack([dmus.outputs, -dmus.inputs])]),
+        constraints=np.vstack(
+            [normalization, np.hstack([dmus.outputs[rows], -dmus.inputs[rows]])]
+        ),
         equalities=1,
-        rhs=np.concatenate([[1.0], np.zeros(dmus.size)]),
+        rhs=np.concatenate([[1.0], np.zeros(len(rows))]),
         lower_bounds=_epsilon_bounds(epsilon, s + m),
     )
 
@@ -230,15 +270,4 @@ def frontier(dmus: DmuSet) -> list[str]:
                 f"DMU {dmus.ids[index]!r} has no output; its per-output point is "
                 "undefined: remove it from the input or give it citations"
             )
-    points = dmus.inputs / output[:, None]
-    # a point's dominators all come before it in lexicographic order, and each
-    # dominated point has a dominator on the frontier, so every point is
-    # tested against the frontier points found before it only
-    kept = np.zeros(dmus.size, dtype=bool)
-    front = points[:0]
-    for index in np.lexsort(points.T[::-1]):
-        point = points[index]
-        if not np.any(np.all(front <= point, axis=1) & np.any(front < point, axis=1)):
-            kept[index] = True
-            front = np.vstack([front, point])
-    return [label for label, on_front in zip(dmus.ids, kept) if on_front]
+    return [dmus.ids[index] for index in dmus.binding_rows.tolist()]

@@ -1,7 +1,7 @@
 """A small deterministic two-phase simplex solver for dense maximization programs.
 
 The solver targets the programs produced by the efficiency module: a few
-weight variables and one row per DMU plus the normalization row.  Bland's
+weight variables, the normalization row and one row per frontier DMU.  Bland's
 rule guards against cycling and makes every run of the same program pivot
 identically.  A pivot rewrites only the rows with a nonzero factor, at the
 pivot row's nonzero columns, in one vectorized step with the arithmetic of a
@@ -10,6 +10,7 @@ row loop, so each entry keeps its bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -139,8 +140,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     phase one.  The result is deterministic for identical input.
     """
     size, shift = lp.variable_count, lp.lower_bounds
-    # one dot per row: a single matrix-vector product may sum in another order
-    rhs = lp.rhs - np.array([row @ shift for row in lp.constraints])
+    # each row's dot with the shift is a left fold over the columns, the same
+    # sum on every platform; a matrix-vector product may sum in another order
+    rhs = lp.rhs - functools.reduce(np.add, (lp.constraints * shift).T)
     flip = rhs < 0
     inequality = np.arange(len(rhs)) >= lp.equalities
     artificial = flip | ~inequality

@@ -549,8 +549,8 @@ class TestDataErrors:
         code, out, err = run(capsys, "dea", "--aggregates", str(aggregates))
         assert (code, out) == (1, "")
         assert err == (
-            f"error: {aggregates} is not UTF-8 text (byte 0xff at offset 35); "
-            "save it as UTF-8\n"
+            f"error: --aggregates {str(aggregates)!r}: not UTF-8 text (byte 0xff at "
+            "offset 35); save it as UTF-8\n"
         )
 
     def test_all_zero_citations_name_the_fix(self, capsys, tmp_path):

@@ -10,6 +10,7 @@ from citedea import (
     DeaError,
     DmuAggregate,
     DmuSet,
+    LinearProgram,
     LpStatus,
     build_ccr_lp,
     ccr_all,
@@ -41,6 +42,23 @@ def brute_force_frontier(dmus):
             if j != i
         )
     ]
+
+
+def full_ccr_lp(dmus, target, epsilon):
+    """The target's program with a <= row for every DMU, in input order."""
+    s, m = dmus.output_count, dmus.input_count
+    return LinearProgram(
+        objective=np.concatenate([dmus.outputs[target], np.zeros(m)]),
+        constraints=np.vstack(
+            [
+                np.concatenate([np.zeros(s), dmus.inputs[target]]),
+                np.hstack([dmus.outputs, -dmus.inputs]),
+            ]
+        ),
+        equalities=1,
+        rhs=np.concatenate([[1.0], np.zeros(dmus.size)]),
+        lower_bounds=np.full(s + m, epsilon),
+    )
 
 
 def assert_feasible_weights(dmus, target, score, epsilon):
@@ -89,19 +107,42 @@ class TestDmuSet:
             DmuSet(ids=("A", "B"), inputs=[[1.0]], outputs=[[1.0], [1.0]])
 
 
+def rows_set():
+    """A and B on the frontier, C = 2 x A a proportional copy, D dominated by
+    A, and E with no output."""
+    return DmuSet(
+        ids=("A", "B", "C", "D", "E"),
+        inputs=[[2.0, 4.0], [1.0, 5.0], [4.0, 8.0], [4.0, 8.0], [1.0, 1.0]],
+        outputs=[[10.0], [10.0], [20.0], [10.0], [0.0]],
+    )
+
+
 class TestBuildCcrLp:
     def test_structure_for_two_dmus(self):
-        program = build_ccr_lp(simple_set(), 0, epsilon=1e-6)
+        # A's per-output point dominates B's, so only A's row binds
+        dmus = simple_set()
+        assert dmus.binding_rows.tolist() == [0]
+        program = build_ccr_lp(dmus, 0, epsilon=1e-6)
         assert program.variable_count == 3
-        # the normalization row is the one = row, then a <= row per DMU
+        # the normalization row is the one = row, then a <= row for A only
         assert program.equalities == 1
-        assert program.constraints.shape == (3, 3)
+        assert program.constraints.shape == (2, 3)
+        assert tuple(program.constraints[1]) == (10.0, -2.0, -4.0)
+        assert tuple(program.rhs) == (1.0, 0.0)
         assert tuple(program.lower_bounds) == (1e-6, 1e-6, 1e-6)
         # objective covers only the output weights
         assert tuple(program.objective) == (10.0, 0.0, 0.0)
         # the normalization row covers only the input weights
         assert tuple(program.constraints[0]) == (0.0, 2.0, 4.0)
-        assert program.rhs[0] == 1.0
+        # B's program keeps B's own row after A's
+        program = build_ccr_lp(dmus, 1, epsilon=1e-6)
+        assert program.constraints.shape == (3, 3)
+        assert tuple(program.constraints[0]) == (0.0, 4.0, 8.0)
+        assert [tuple(row) for row in program.constraints[1:]] == [
+            (10.0, -2.0, -4.0),
+            (10.0, -4.0, -8.0),
+        ]
+        assert tuple(program.rhs) == (1.0, 0.0, 0.0)
 
     def test_per_variable_epsilon(self):
         program = build_ccr_lp(simple_set(), 0, epsilon=(1e-6, 1e-4, 1e-8))
@@ -118,6 +159,48 @@ class TestBuildCcrLp:
     def test_target_index_range(self):
         with pytest.raises(DeaError, match="out of range"):
             build_ccr_lp(simple_set(), 2)
+
+    def test_dominated_and_zero_output_rows_are_left_out(self):
+        dmus = rows_set()
+        assert dmus.binding_rows.tolist() == [0, 1, 2]
+        a, b, c, d, e = np.hstack([dmus.outputs, -dmus.inputs]).tolist()
+        # C has A's per-output point, and each keeps its own row
+        for target in (0, 1, 2):
+            assert build_ccr_lp(dmus, target).constraints[1:].tolist() == [a, b, c]
+        # a dominated target and a target with no output keep their own row,
+        # in input order among the binding ones
+        assert build_ccr_lp(dmus, 3).constraints[1:].tolist() == [a, b, c, d]
+        assert build_ccr_lp(dmus, 4).constraints[1:].tolist() == [a, b, c, e]
+
+    def test_multi_output_sets_keep_every_row(self):
+        dmus = DmuSet(
+            ids=("A", "B", "C"),
+            inputs=[[1.0], [2.0], [4.0]],
+            outputs=[[1.0, 0.0], [2.0, 1.0], [1.0, 1.0]],
+        )
+        assert dmus.binding_rows.tolist() == [0, 1, 2]
+        for target in range(dmus.size):
+            program = build_ccr_lp(dmus, target)
+            assert program.constraints.shape == (4, 3)
+            assert program.constraints[1:].tolist() == [
+                [1.0, 0.0, -1.0], [2.0, 1.0, -2.0], [1.0, 1.0, -4.0]
+            ]
+
+    def test_the_row_set_is_computed_once_per_set(self, monkeypatch, aggregates15):
+        dmus = DmuSet.from_aggregates(aggregates15)
+        sorts = []
+        lexsort = np.lexsort
+
+        def counted(keys):
+            sorts.append(keys)
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", counted)
+        ccr_all(dmus)
+        assert frontier(dmus) == ["R6", "R7"]
+        assert len(sorts) == 1
+        assert dmus.binding_rows is dmus.binding_rows
+        assert not dmus.binding_rows.flags.writeable
 
     def test_own_constraint_caps_the_objective_at_one(self):
         program = build_ccr_lp(simple_set(), 0)
@@ -229,7 +312,7 @@ class TestFeasibilityCertificate:
                 ).astype(float),
                 outputs=np.floor(rng.lognormal(8.0, 1.5, size=(size, 1))) + 1.0,
             )
-            program = build_ccr_lp(dmus, 0, epsilon)
+            program = full_ccr_lp(dmus, 0, epsilon)
             shifted_rhs = program.rhs - program.constraints @ program.lower_bounds
             assert np.count_nonzero(shifted_rhs < 0) > size // 2
             for target, score in enumerate(ccr_all(dmus, epsilon)):
@@ -238,6 +321,40 @@ class TestFeasibilityCertificate:
                     assert score.score == float(
                         dmus.outputs[target] @ np.array(score.output_weights)
                     )
+
+
+class TestReducedProgram:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_scores_and_weights_match_the_full_program(self, seed):
+        # one output and 1-3 inputs, with proportional copies, exact
+        # duplicates and DMUs with no output mixed in at random positions
+        rng = np.random.default_rng([4099, seed])
+        epsilon = 1e-6
+        inputs = rng.integers(1, 60, size=(int(rng.integers(4, 30)), 1 + seed % 3))
+        outputs = rng.integers(1, 900, size=(len(inputs), 1))
+        copied = rng.integers(0, len(inputs), size=4)
+        factors = rng.integers(2, 6, size=(4, 1))
+        duplicated = rng.integers(0, len(inputs), size=3)
+        uncited = rng.integers(1, 60, size=(3, inputs.shape[1]))
+        inputs = np.vstack([inputs, inputs[copied] * factors, inputs[duplicated], uncited])
+        outputs = np.vstack(
+            [outputs, outputs[copied] * factors, outputs[duplicated], np.zeros((3, 1))]
+        )
+        order = rng.permutation(len(inputs))
+        dmus = DmuSet(
+            ids=tuple(f"D{i}" for i in range(len(inputs))),
+            inputs=inputs[order].astype(float),
+            outputs=outputs[order].astype(float),
+        )
+        assert dmus.binding_rows.size < dmus.size
+        for target, score in enumerate(ccr_all(dmus, epsilon)):
+            solution = solve_lp(full_ccr_lp(dmus, target, epsilon))
+            assert solution.status is LpStatus.OPTIMAL
+            full = solution.objective_value
+            if full > 1.0 or abs(full - 1.0) <= FEASIBILITY_TOL:
+                full = 1.0
+            assert abs(score.score - full) <= 1e-9
+            assert_feasible_weights(dmus, target, score, epsilon)
 
 
 class TestCcrAll:

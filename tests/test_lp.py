@@ -283,7 +283,14 @@ def oracle_solve(program):
     pivots = []
     size = program.variable_count
     shift = program.lower_bounds
-    rhs = program.rhs - np.array([row @ shift for row in program.constraints])
+    # each row's dot with the shift, summed column by column from the left
+    dots = []
+    for row in program.constraints:
+        dot = row[0] * shift[0]
+        for coefficient, bound in zip(row[1:], shift[1:]):
+            dot = dot + coefficient * bound
+        dots.append(dot)
+    rhs = program.rhs - np.array(dots)
     flip = rhs < 0
     inequality = np.arange(len(rhs)) >= program.equalities
     le, ge = inequality & ~flip, inequality & flip
