@@ -1,21 +1,18 @@
 """Input-oriented CCR efficiency analysis over decision-making units.
 
-Each DMU turns a vector of positive inputs into a vector of non-negative
-outputs.  A DMU's efficiency is the best weighted-output total it can reach
-with its own weighted inputs normalized to one, subject to no DMU in the set
-beating its inputs under the same weights, and with every weight held at
-least ``epsilon`` away from zero.  One linear program is solved per DMU.
-
-With one output, a DMU's row u * y_j <= v . x_j is implied, for every v >= 0,
-by the row of any DMU whose per-output input point is no worse in every
-coordinate, and a DMU with no output has the row 0 <= v . x_j, which always
-holds.  So each program holds only the normalization row, the rows of the
-DMUs on the per-output frontier, and the target's own row; a set with more
-than one output keeps a row for every DMU.
+Each DMU turns one or two positive inputs into one non-negative output: for
+a researcher, career years and coauthors in and citations out.  Its efficiency
+is the best weighted output it can reach with its own weighted inputs pinned
+to one, while no DMU's weighted output exceeds its weighted input and every
+weight stays at least ``epsilon`` from zero.  One program is solved per DMU.
+It keeps the normalization row, the target's own row and the rows of the DMUs
+on the per-output frontier: any other row is implied by one of those, or is
+0 <= v . x_j for a DMU with no output, which always holds.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -32,9 +29,16 @@ class DeaError(ValueError):
     """Raised for invalid DMU data or an unsolvable efficiency program."""
 
 
+def _shape(values) -> tuple[int, ...] | str:
+    try:
+        return np.shape(values)
+    except ValueError:  # rows of different lengths
+        return "(ragged rows)"
+
+
 @dataclass(frozen=True)
 class DmuSet:
-    """An ordered DMU collection with input and output matrices, one row per DMU."""
+    """An ordered DMU collection: one or two inputs and one output per DMU, one matrix row each."""
 
     ids: tuple[str, ...]
     inputs: np.ndarray
@@ -42,19 +46,19 @@ class DmuSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", tuple(str(label) for label in self.ids))
-        if len(self.ids) == 0:
+        if self.size == 0:
             raise DeaError("a DMU set needs at least one DMU")
+        repeated = [label for label, count in Counter(self.ids).items() if count > 1]
+        if repeated:
+            raise DeaError(f"duplicate DMU id {repeated[0]!r}: give each DMU its own id")
+        shapes = _shape(self.inputs), _shape(self.outputs)
+        if shapes[0] not in ((self.size, 1), (self.size, 2)) or shapes[1] != (self.size, 1):
+            raise DeaError(
+                "a DMU set holds one output and one or two inputs per DMU: "
+                f"{self.size} ids, inputs of shape {shapes[0]}, outputs of shape {shapes[1]}"
+            )
         inputs = np.array(self.inputs, dtype=float)
         outputs = np.array(self.outputs, dtype=float)
-        if inputs.ndim != 2 or outputs.ndim != 2:
-            raise DeaError("inputs and outputs must be two-dimensional matrices")
-        if inputs.shape[0] != len(self.ids) or outputs.shape[0] != len(self.ids):
-            raise DeaError(
-                f"expected one matrix row per DMU: {len(self.ids)} ids, "
-                f"{inputs.shape[0]} input rows, {outputs.shape[0]} output rows"
-            )
-        if inputs.shape[1] == 0 or outputs.shape[1] == 0:
-            raise DeaError("every DMU needs at least one input and one output")
         if not np.all(np.isfinite(inputs)) or not np.all(np.isfinite(outputs)):
             raise DeaError("inputs and outputs must be finite")
         if np.any(inputs <= 0):
@@ -85,38 +89,26 @@ class DmuSet:
     def size(self) -> int:
         return len(self.ids)
 
-    @property
-    def input_count(self) -> int:
-        return self.inputs.shape[1]
-
-    @property
-    def output_count(self) -> int:
-        return self.outputs.shape[1]
-
     @cached_property
     def binding_rows(self) -> np.ndarray:
         """Indices, in input order, of the DMUs whose rows every program keeps.
 
-        For one output these are the DMUs with a positive output whose
-        per-output point no other DMU dominates; every other DMU's row is
-        implied by one of theirs.  With more outputs every DMU is kept.
+        These are the DMUs with a positive output whose per-output point no
+        other DMU dominates; every other DMU's row is implied by one of theirs.
+        Sorted lexicographically, equal points sit together and no later point
+        dominates, so with one or two coordinates a point is dominated exactly
+        when a point before its run has a last coordinate no larger than its
+        own (Kung, Luccio & Preparata 1975).
         """
-        rows = np.arange(self.size)
-        if self.output_count == 1:
-            output = self.outputs[:, 0]
-            rows = rows[output > 0]
-            points = self.inputs[rows] / output[rows, None]
-            # a point's dominators all come before it in lexicographic order,
-            # and each dominated point has a dominator on the frontier, so
-            # every point is tested against the frontier points found before it
-            kept = np.zeros(len(rows), dtype=bool)
-            front = points[:0]
-            for index in np.lexsort(points.T[::-1]):
-                point = points[index]
-                if not np.any(np.all(front <= point, axis=1) & np.any(front < point, axis=1)):
-                    kept[index] = True
-                    front = np.vstack([front, point])
-            rows = rows[kept]
+        rows = np.flatnonzero(self.outputs[:, 0] > 0)
+        points = self.inputs[rows] / self.outputs[rows]
+        order = np.lexsort(points.T[::-1])
+        ordered = points[order]
+        starts = np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)])
+        run_start = np.maximum.accumulate(np.where(starts, np.arange(len(rows)), 0))
+        lowest = np.minimum.accumulate(ordered[:, -1])[run_start - 1]  # index -1: nothing before
+        dominated = (run_start > 0) & (lowest <= ordered[:, -1])
+        rows = rows[np.sort(order[~dominated])]
         rows.setflags(write=False)
         return rows
 
@@ -141,14 +133,10 @@ class EfficiencyScore:
 
 def _epsilon_bounds(epsilon: float | Sequence[float], count: int) -> tuple[float, ...]:
     """Normalize epsilon to one strictly positive lower bound per weight."""
-    if np.isscalar(epsilon):
-        bounds = (float(epsilon),) * count
-    else:
-        bounds = tuple(float(value) for value in epsilon)
-        if len(bounds) != count:
-            raise DeaError(
-                f"epsilon needs one bound per weight: got {len(bounds)}, expected {count}"
-            )
+    scalar = np.ndim(epsilon) == 0
+    bounds = (float(epsilon),) * count if scalar else tuple(float(value) for value in epsilon)
+    if len(bounds) != count:
+        raise DeaError(f"epsilon needs one bound per weight: got {len(bounds)}, expected {count}")
     if any(not np.isfinite(bound) or bound <= 0 for bound in bounds):
         raise DeaError(f"epsilon must be strictly positive, got {epsilon!r}")
     return bounds
@@ -159,30 +147,30 @@ def build_ccr_lp(
 ) -> LinearProgram:
     """The multiplier-form program whose optimum is the target DMU's efficiency.
 
-    Variables are the output weights u_1..u_s followed by the input weights
-    v_1..v_m.  The objective is the target's weighted output, the target's
-    weighted input is pinned to one, and all weights are bounded below by
+    Variables are the output weight u followed by the input weights v_1..v_m.
+    The objective is the target's weighted output, the target's weighted
+    input is pinned to one, and all weights are bounded below by
     ``epsilon`` (a scalar, or one bound per weight in variable order).  The
     weighted output may not exceed the weighted input for the DMUs of
     ``dmus.binding_rows`` and the target, one ``<=`` row each in input order;
     those rows imply the same bound for every other DMU.
     """
-    if not 0 <= target_index < dmus.size:
+    # a bool is no DMU position, and np.issubdtype(bool, np.integer) is False
+    if not np.issubdtype(type(target_index), np.integer) or not 0 <= target_index < dmus.size:
         raise DeaError(
-            f"target_index {target_index} out of range for {dmus.size} DMUs"
+            f"target_index {target_index!r} out of range for {dmus.size} DMUs: "
+            f"give an int from 0 to {dmus.size - 1}"
         )
-    s = dmus.output_count
-    m = dmus.input_count
-    normalization = np.concatenate([np.zeros(s), dmus.inputs[target_index]])
+    inputs = dmus.inputs[target_index]
     rows = np.union1d(dmus.binding_rows, [target_index])
     return LinearProgram(
-        objective=np.concatenate([dmus.outputs[target_index], np.zeros(m)]),
+        objective=np.concatenate([dmus.outputs[target_index], np.zeros_like(inputs)]),
         constraints=np.vstack(
-            [normalization, np.hstack([dmus.outputs[rows], -dmus.inputs[rows]])]
+            [np.concatenate([[0.0], inputs]), np.hstack([dmus.outputs[rows], -dmus.inputs[rows]])]
         ),
         equalities=1,
         rhs=np.concatenate([[1.0], np.zeros(len(rows))]),
-        lower_bounds=_epsilon_bounds(epsilon, s + m),
+        lower_bounds=_epsilon_bounds(epsilon, 1 + len(inputs)),
     )
 
 
@@ -237,12 +225,11 @@ def ccr_efficiency(
     score = solution.objective_value
     if score > 1.0 or abs(score - 1.0) <= FEASIBILITY_TOL:
         score = 1.0
-    s = dmus.output_count
     return EfficiencyScore(
         dmu_id=label,
         score=score,
-        input_weights=solution.variable_values[s:],
-        output_weights=solution.variable_values[:s],
+        input_weights=solution.variable_values[1:],
+        output_weights=solution.variable_values[:1],
     )
 
 
@@ -256,18 +243,15 @@ def ccr_all(
 def frontier(dmus: DmuSet) -> list[str]:
     """Ids of the DMUs whose per-output input points are Pareto-minimal.
 
-    Defined for single-output sets with strictly positive outputs: each DMU
-    maps to the point (input_1 / output, ..., input_m / output), and a DMU
-    stays on the frontier unless some other DMU is no worse in every
-    coordinate and strictly better in at least one.
+    Defined for sets whose outputs are all strictly positive: each DMU maps
+    to the point (input_1 / output[, input_2 / output]), and a DMU stays on
+    the frontier unless some other DMU is no worse in every coordinate and
+    strictly better in at least one.  These are the DMUs of ``binding_rows``.
     """
-    if dmus.output_count != 1:
-        raise DeaError("frontier is defined for single-output DMU sets")
-    output = dmus.outputs[:, 0]
-    for index, value in enumerate(output):
-        if value <= 0:
-            raise DeaError(
-                f"DMU {dmus.ids[index]!r} has no output; its per-output point is "
-                "undefined: remove it from the input or give it citations"
-            )
+    empty = np.flatnonzero(dmus.outputs[:, 0] <= 0)
+    if empty.size:
+        raise DeaError(
+            f"DMU {dmus.ids[empty[0]]!r} has no output; its per-output point is "
+            "undefined: remove it from the input or give it citations"
+        )
     return [dmus.ids[index] for index in dmus.binding_rows.tolist()]

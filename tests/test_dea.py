@@ -44,9 +44,19 @@ def brute_force_frontier(dmus):
     ]
 
 
+def all_pairs_binding_rows(dmus):
+    """The DMUs with a positive output whose point no other point is <= in
+    every coordinate and < in at least one, by comparing every pair."""
+    rows = np.flatnonzero(dmus.outputs[:, 0] > 0)
+    points = dmus.inputs[rows] / dmus.outputs[rows]
+    no_worse = np.all(points[:, None] <= points[None, :], axis=2)  # [q, p]: q <= p
+    better = np.any(points[:, None] < points[None, :], axis=2)
+    return rows[~np.any(no_worse & better, axis=0)]
+
+
 def full_ccr_lp(dmus, target, epsilon):
     """The target's program with a <= row for every DMU, in input order."""
-    s, m = dmus.output_count, dmus.input_count
+    s, m = dmus.outputs.shape[1], dmus.inputs.shape[1]
     return LinearProgram(
         objective=np.concatenate([dmus.outputs[target], np.zeros(m)]),
         constraints=np.vstack(
@@ -74,8 +84,8 @@ class TestDmuSet:
     def test_from_aggregates(self, aggregates15):
         dmus = DmuSet.from_aggregates(aggregates15)
         assert dmus.size == 15
-        assert dmus.input_count == 2
-        assert dmus.output_count == 1
+        assert dmus.inputs.shape == (15, 2)
+        assert dmus.outputs.shape == (15, 1)
         assert dmus.inputs[6, 1] == 1127.0
         assert dmus.outputs[6, 0] == 16276.0
 
@@ -102,9 +112,32 @@ class TestDmuSet:
         with pytest.raises(DeaError, match="strictly positive output"):
             DmuSet(ids=("A", "B"), inputs=[[1.0], [2.0]], outputs=[[0.0], [0.0]])
 
-    def test_rejects_row_count_mismatch(self):
-        with pytest.raises(DeaError, match="one matrix row per DMU"):
-            DmuSet(ids=("A", "B"), inputs=[[1.0]], outputs=[[1.0], [1.0]])
+    @pytest.mark.parametrize(
+        "inputs, outputs, shapes",
+        [
+            ([[1.0], [2.0], [3.0]], [[1.0, 2.0]] * 3, "inputs of shape (3, 1), outputs of shape (3, 2)"),
+            ([[1.0, 2.0, 3.0]] * 3, [[1.0]] * 3, "inputs of shape (3, 3), outputs of shape (3, 1)"),
+            (np.ones((3, 0)), [[1.0]] * 3, "inputs of shape (3, 0), outputs of shape (3, 1)"),
+            ([1.0, 2.0, 3.0], [[1.0]] * 3, "inputs of shape (3,), outputs of shape (3, 1)"),
+            ([[1.0, 2.0], [3.0], [4.0, 5.0]], [[1.0]] * 3, "inputs of shape (ragged rows), outputs of shape (3, 1)"),
+            ([[1.0, 2.0]] * 2, [[1.0]] * 3, "inputs of shape (2, 2), outputs of shape (3, 1)"),
+        ],
+        ids=["two outputs", "three inputs", "no inputs", "input vector", "ragged rows", "row count"],
+    )
+    def test_holds_one_output_and_one_or_two_inputs(self, inputs, outputs, shapes):
+        with pytest.raises(
+            DeaError,
+            match=re.escape(
+                f"a DMU set holds one output and one or two inputs per DMU: 3 ids, {shapes}"
+            ) + "$",
+        ):
+            DmuSet(ids=("A", "B", "C"), inputs=inputs, outputs=outputs)
+
+    def test_rejects_a_repeated_id(self):
+        with pytest.raises(
+            DeaError, match="^duplicate DMU id 'a': give each DMU its own id$"
+        ):
+            DmuSet(ids=("a", "b", "a", "b"), inputs=[[1, 1], [2, 2], [3, 3], [4, 4]], outputs=[[1]] * 4)
 
 
 def rows_set():
@@ -160,6 +193,24 @@ class TestBuildCcrLp:
         with pytest.raises(DeaError, match="out of range"):
             build_ccr_lp(simple_set(), 2)
 
+    @pytest.mark.parametrize(
+        "target", [True, 1.5, np.float64(1.0), "1"], ids=["bool", "float", "numpy float", "str"]
+    )
+    def test_target_index_must_be_an_int(self, target):
+        with pytest.raises(
+            DeaError,
+            match=rf"^target_index {re.escape(repr(target))} out of range for 2 DMUs: "
+            r"give an int from 0 to 1$",
+        ):
+            ccr_efficiency(simple_set(), target)
+        assert ccr_efficiency(simple_set(), np.int64(1)).score == pytest.approx(0.5, abs=1e-6)
+
+    def test_a_zero_dimensional_epsilon_is_a_scalar(self):
+        expected = build_ccr_lp(simple_set(), 1, 1e-6)
+        program = build_ccr_lp(simple_set(), 1, np.array(1e-6))
+        assert tuple(program.lower_bounds) == tuple(expected.lower_bounds) == (1e-6,) * 3
+        assert ccr_efficiency(simple_set(), 1, np.array(1e-6)) == ccr_efficiency(simple_set(), 1, 1e-6)
+
     def test_dominated_and_zero_output_rows_are_left_out(self):
         dmus = rows_set()
         assert dmus.binding_rows.tolist() == [0, 1, 2]
@@ -171,20 +222,6 @@ class TestBuildCcrLp:
         # in input order among the binding ones
         assert build_ccr_lp(dmus, 3).constraints[1:].tolist() == [a, b, c, d]
         assert build_ccr_lp(dmus, 4).constraints[1:].tolist() == [a, b, c, e]
-
-    def test_multi_output_sets_keep_every_row(self):
-        dmus = DmuSet(
-            ids=("A", "B", "C"),
-            inputs=[[1.0], [2.0], [4.0]],
-            outputs=[[1.0, 0.0], [2.0, 1.0], [1.0, 1.0]],
-        )
-        assert dmus.binding_rows.tolist() == [0, 1, 2]
-        for target in range(dmus.size):
-            program = build_ccr_lp(dmus, target)
-            assert program.constraints.shape == (4, 3)
-            assert program.constraints[1:].tolist() == [
-                [1.0, 0.0, -1.0], [2.0, 1.0, -2.0], [1.0, 1.0, -4.0]
-            ]
 
     def test_the_row_set_is_computed_once_per_set(self, monkeypatch, aggregates15):
         dmus = DmuSet.from_aggregates(aggregates15)
@@ -201,6 +238,31 @@ class TestBuildCcrLp:
         assert len(sorts) == 1
         assert dmus.binding_rows is dmus.binding_rows
         assert not dmus.binding_rows.flags.writeable
+
+    @pytest.mark.parametrize("inputs", [1, 2], ids=["one input", "two inputs"])
+    def test_the_row_set_matches_an_all_pairs_check_on_large_sets(self, inputs):
+        # 2 000 DMUs drawn from 150 integer points near the line x + y = 41,
+        # each scaled by 1-5: equal picks are exact duplicates, different
+        # factors give equal ratios from different integers (2/10 and 1/5),
+        # many points share a first coordinate, and some DMUs have no output
+        rng = np.random.default_rng([2000, inputs])
+        first = rng.integers(1, 40, size=150)
+        pool_inputs = np.column_stack([first, 41 - first + rng.integers(0, 4, size=150)])
+        pool_inputs = pool_inputs[:, :inputs]
+        pool_outputs = rng.integers(1, 4, size=(150, 1))
+        picks = rng.integers(0, 150, size=2000)
+        factors = rng.integers(1, 6, size=(2000, 1))
+        outputs = pool_outputs[picks] * factors
+        outputs[rng.random(2000) < 0.05] = 0
+        dmus = DmuSet(
+            ids=tuple(f"D{i}" for i in range(2000)),
+            inputs=(pool_inputs[picks] * factors).astype(float),
+            outputs=outputs.astype(float),
+        )
+        expected = all_pairs_binding_rows(dmus)
+        assert dmus.binding_rows.tolist() == expected.tolist()
+        points = dmus.inputs[expected] / dmus.outputs[expected]
+        assert len(np.unique(points, axis=0)) < len(expected) < dmus.size - 100
 
     def test_own_constraint_caps_the_objective_at_one(self):
         program = build_ccr_lp(simple_set(), 0)
@@ -326,11 +388,11 @@ class TestFeasibilityCertificate:
 class TestReducedProgram:
     @pytest.mark.parametrize("seed", range(12))
     def test_scores_and_weights_match_the_full_program(self, seed):
-        # one output and 1-3 inputs, with proportional copies, exact
+        # one output and 1-2 inputs, with proportional copies, exact
         # duplicates and DMUs with no output mixed in at random positions
         rng = np.random.default_rng([4099, seed])
         epsilon = 1e-6
-        inputs = rng.integers(1, 60, size=(int(rng.integers(4, 30)), 1 + seed % 3))
+        inputs = rng.integers(1, 60, size=(int(rng.integers(4, 30)), 1 + seed % 2))
         outputs = rng.integers(1, 900, size=(len(inputs), 1))
         copied = rng.integers(0, len(inputs), size=4)
         factors = rng.integers(2, 6, size=(4, 1))
@@ -441,12 +503,11 @@ class TestFrontier:
             match="per-output point is undefined: remove it from the input or give it citations",
         ):
             frontier(dmus)
-
-    def test_multi_output_sets_are_rejected(self):
+        # the first DMU with no output, in input order, is the one named
         dmus = DmuSet(
-            ids=("A",), inputs=[[1.0]], outputs=[[1.0, 2.0]]
+            ids=("A", "B", "C"), inputs=[[1.0], [1.0], [1.0]], outputs=[[5.0], [0.0], [0.0]]
         )
-        with pytest.raises(DeaError, match="single-output"):
+        with pytest.raises(DeaError, match="^DMU 'B' has no output"):
             frontier(dmus)
 
     def test_frontier_members_score_one(self, aggregates15):
@@ -469,7 +530,7 @@ class TestFrontier:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_brute_force_with_duplicates_and_ties(self, seed):
         rng = np.random.default_rng([607, seed])
-        inputs = int(rng.integers(1, 4))
+        inputs = int(rng.integers(1, 3))
         pool = rng.integers(1, 6, size=(int(rng.integers(1, 8)), inputs)).astype(float)
         pool[:, 0] = rng.integers(1, 3, size=len(pool))  # ties in the first coordinate
         size = int(rng.integers(1, 80))
