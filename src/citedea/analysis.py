@@ -58,16 +58,25 @@ def rank(scores: Sequence[float], higher_is_better: bool = True) -> tuple[int, .
 
 
 def rank_correlation(ranks_a: Sequence[float], ranks_b: Sequence[float]) -> float:
-    """Pearson product-moment correlation of two rank vectors aligned by position."""
-    vector_a = np.array(ranks_a, dtype=float)
-    vector_b = np.array(ranks_b, dtype=float)
-    if len(vector_a) != len(vector_b):
-        raise AnalysisError(
-            f"rank vectors must have equal lengths, got {len(vector_a)} and {len(vector_b)}"
-        )
-    if len(vector_a) < 2 or vector_a.var() == 0.0 or vector_b.var() == 0.0:
+    """Pearson product-moment correlation of two rank vectors aligned by position.
+
+    Integer ranks with n·max|rank|² < 2**62 are summed exactly, so the result is correctly
+    rounded whenever it is rational, as for two tie-free rankings; others use np.corrcoef.
+    """
+    count = len(ranks_a)
+    if count != len(ranks_b):
+        raise AnalysisError(f"rank vectors must have equal lengths, got {count} and {len(ranks_b)}")
+    vectors = np.array([ranks_a, ranks_b], dtype=float)
+    if count < 2 or (vectors.min(axis=1) == vectors.max(axis=1)).any():
         raise AnalysisError("rank correlation needs two rank vectors with variance")
-    coefficient = float(np.corrcoef(vector_a, vector_b)[0, 1])
+    if not (count * np.abs(vectors).max() ** 2 < 2**62 and (vectors == vectors.round()).all()):
+        return max(-1.0, min(1.0, float(np.corrcoef(vectors)[0, 1])))
+    a, b = vectors.astype(np.int64)  # int64 dot products are exact below 2**63
+    sum_a, sum_b = int(a.sum()), int(b.sum())
+    covariance = count * int(a @ b) - sum_a * sum_b
+    product = (count * int(a @ a) - sum_a**2) * (count * int(b @ b) - sum_b**2)
+    # the root to 128 fractional bits: only the division rounds, correctly bar a near tie
+    coefficient = (covariance << 128) / math.isqrt(product << 256)
     return max(-1.0, min(1.0, coefficient))
 
 

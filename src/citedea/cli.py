@@ -14,7 +14,8 @@ from .corpus import CorpusError, parse_aggregates, parse_h_values, parse_paper_c
 from .dea import DEFAULT_EPSILON, DeaError, DmuSet, ccr_all, frontier
 from .indices import PenaltyParams, index_table
 
-_CSV_ROWS = 4096  # rows per piece of CSV output
+# rows per piece of CSV output; one piece raised indices' VmHWM on 10 000 researchers 52 -> 55 MB
+_CSV_ROWS = 4096
 
 
 def _cell(value, float_format: str) -> str:
@@ -109,10 +110,7 @@ def _cmd_indices(options) -> str:
     # without career years, index_table gives only the first seven indices
     papers = _load_profiles(options)
     table = index_table(papers, c_star=options.c_star, penalty=_penalty(options))
-    columns = [papers.ids, *table.values()]
-    # the columns hold what the output needs; drop the input before rendering
-    del papers
-    return _emit(["id", *table], columns, options.format)
+    return _emit(["id", *table], [papers.ids, *table.values()], options.format)
 
 
 def _cmd_dea(options) -> str:
@@ -140,6 +138,10 @@ def _report(options) -> MetricReport:
         if options.h_values is not None:
             h_scores = parse_h_values(_read(options.h_values, "--h-values"))
         aggregates = parse_aggregates(_read(options.aggregates, "--aggregates"))
+        missing = h_scores and sorted({item.id for item in aggregates} - h_scores.keys())
+        if missing:
+            problem = f"no h value for researcher(s) {', '.join(missing)}; add an id,h row for each"
+            raise AnalysisError(f"--h-values {options.h_values!r}: {problem}")
         sources = {"aggregates": aggregates, "h_scores": h_scores}
     return build_report(
         **sources,

@@ -395,12 +395,13 @@ class PaperColumns:
         return list(map(DmuAggregate, self.ids, self.years, authors.tolist(), citations.tolist()))
 
 
-def _paper_columns(papers_text: str, profiles_text: str | None = None) -> PaperColumns:
-    """Read ``id,citations,authors`` rows, and ``id,career_years`` rows if given.
+def parse_paper_columns(papers_text: str, profiles_text: str | None = None) -> PaperColumns:
+    """Parse paper CSV text, and profile CSV text if given, into one PaperColumns.
 
     Researchers appear in profile order when ``profiles_text`` is given, and
     then every paper row must name one of them; otherwise in first-occurrence
-    order.  Each researcher's papers keep their file order.
+    order.  Each researcher's papers keep their file order.  ``index_table``
+    and ``build_report`` read this form, with no profile built per researcher.
     """
     ids: list[str] = []
     years = None
@@ -430,25 +431,13 @@ def _paper_columns(papers_text: str, profiles_text: str | None = None) -> PaperC
     return PaperColumns(list(codes), sizes, citations, authors, years)
 
 
-def parse_paper_columns(papers_text: str, profiles_text: str | None = None) -> PaperColumns:
-    """Parse paper CSV text, and profile CSV text if given, into one PaperColumns.
-
-    This is the form ``index_table`` and ``build_report`` read, with no
-    profile built per researcher: ``index_table`` gives every index, or the
-    first seven without ``profiles_text``, and ``build_report`` needs it.
-    """
-    # the other parsers call _paper_columns, so a span traced around each
-    # public parser never holds another one
-    return _paper_columns(papers_text, profiles_text)
-
-
 def parse_papers(text: str) -> dict[str, tuple[PaperRecord, ...]]:
     """Parse ``id,citations,authors`` CSV text, grouping papers by researcher.
 
     Researchers appear in first-occurrence order; each researcher's papers
     keep their file order.
     """
-    papers = _paper_columns(text)
+    papers = parse_paper_columns(text)
     pairs = zip(papers.ids, papers.split(papers.citations), papers.split(papers.authors))
     return {researcher: tuple(map(PaperRecord, *counts)) for researcher, *counts in pairs}
 
@@ -462,7 +451,7 @@ def parse_profiles(profiles_text: str, papers_text: str) -> list[ResearcherProfi
     text.  Researchers with no paper rows are kept (they can be staged but
     not aggregated).
     """
-    papers = _paper_columns(papers_text, profiles_text)
+    papers = parse_paper_columns(papers_text, profiles_text)
     counts = papers.split(papers.citations), papers.split(papers.authors)
     return list(map(ResearcherProfile, papers.ids, papers.years, *counts))
 

@@ -177,18 +177,17 @@ def build_ccr_lp(
 def _largest_epsilon(dmus: DmuSet, target_index: int) -> float:
     """The largest common lower bound on every weight that keeps the target feasible.
 
-    Maximizes t over the target's program rows plus t <= each weight, with
-    all variables non-negative; t is positive because every input is.
+    Writes each weight as t plus a non-negative part and maximizes t over the
+    target's program rows, in which t's coefficient is each row's sum; t is
+    positive because every input is.
     """
     ccr = build_ccr_lp(dmus, target_index)
-    weights = ccr.variable_count
-    caps = np.hstack([-np.eye(weights), np.ones((weights, 1))])  # t - w <= 0
     program = LinearProgram(
-        objective=np.append(np.zeros(weights), 1.0),
-        constraints=np.vstack([np.pad(ccr.constraints, ((0, 0), (0, 1))), caps]),
+        objective=np.append(np.zeros(ccr.variable_count), 1.0),
+        constraints=np.column_stack([ccr.constraints, ccr.constraints.sum(axis=1)]),
         equalities=1,
-        rhs=np.append(ccr.rhs, np.zeros(weights)),
-        lower_bounds=np.zeros(weights + 1),
+        rhs=ccr.rhs,
+        lower_bounds=np.zeros(ccr.variable_count + 1),
     )
     return solve_lp(program).objective_value
 

@@ -1,5 +1,9 @@
 """Competition ranking, rank correlation, and report assembly."""
 
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -113,8 +117,48 @@ class TestRankCorrelation:
         b = permutation_ranking(order_b)
         n = len(order_a)
         squared = sum((x - y) ** 2 for x, y in zip(a, b))
-        closed_form = 1.0 - 6.0 * squared / (n * (n * n - 1))
-        assert rank_correlation(a, b) == pytest.approx(closed_form, abs=1e-12)
+        # the exact value, correctly rounded
+        closed_form = float(1 - Fraction(6 * squared, n * (n * n - 1)))
+        assert rank_correlation(a, b) == closed_form
+
+    def test_exact_values_are_returned_exactly(self):
+        assert rank_correlation([1, 2, 3, 4], [2, 1, 3, 4]) == 0.8
+        assert rank_correlation([2, 1], [2, 1]) == 1.0
+        assert rank_correlation([1, 2, 3], [3, 2, 1]) == -1.0
+        # tied ranks, whose variance product is not a perfect square: 3 / sqrt(12)
+        assert rank_correlation([1, 1, 3], [1, 2, 3]) == pytest.approx(3 / 12**0.5, rel=1e-15)
+
+    def test_tied_rankings_are_correctly_rounded(self):
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 40))
+            a, b = (rank(rng.integers(0, 5, n).tolist()) for _ in range(2))
+            if len(set(a)) < 2 or len(set(b)) < 2:
+                continue
+            covariance = n * sum(x * y for x, y in zip(a, b)) - sum(a) * sum(b)
+            product = (n * sum(x * x for x in a) - sum(a) ** 2) * (
+                n * sum(y * y for y in b) - sum(b) ** 2
+            )
+            with localcontext() as context:
+                context.prec = 60
+                exact = Decimal(covariance) / Decimal(product).sqrt()
+            # float() of a decimal is correctly rounded
+            assert rank_correlation(a, b) == float(exact), (a, b)
+            checked += 1
+        assert checked > 250
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # averaged ties
+            ([1.5, 1.5, 3.0, 4.0], [1.0, 2.0, 4.0, 3.0]),
+            # squares past what int64 holds
+            ([1, 2**40, 3, 2**35], [1, 2, 3, 4]),
+        ],
+    )
+    def test_ranks_without_exact_int64_sums_fall_back_to_floats(self, a, b):
+        assert rank_correlation(a, b) == pytest.approx(np.corrcoef(a, b)[0, 1], rel=1e-15)
 
     @settings(max_examples=50)
     @given(

@@ -565,6 +565,21 @@ class TestDataErrors:
                 "include a researcher with citations\n"
             )
 
+    def test_missing_h_values_name_the_file_the_ids_and_the_fix(self, capsys, tmp_path):
+        aggregates = tmp_path / "group.csv"
+        h_values = tmp_path / "h.csv"
+        aggregates.write_text("z,3,9,40\nx,5,7,90\nw,2,4,10\ny,8,6,70\n")
+        h_values.write_text("x,3\nv,2\n")
+        for command in ("rank", "correlate", "report"):
+            code, out, err = run(
+                capsys, command, "--aggregates", str(aggregates), "--h-values", str(h_values)
+            )
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: --h-values {str(h_values)!r}: no h value for researcher(s) "
+                "w, y, z; add an id,h row for each\n"
+            )
+
     def test_profile_without_papers_names_the_fix(self, capsys, tmp_path):
         profiles = tmp_path / "profiles.csv"
         papers = tmp_path / "papers.csv"

@@ -71,6 +71,21 @@ def full_ccr_lp(dmus, target, epsilon):
     )
 
 
+def capped_largest_epsilon(dmus, target):
+    """The largest common weight bound from the target's rows plus t <= each weight."""
+    ccr = build_ccr_lp(dmus, target)
+    weights = ccr.variable_count
+    caps = np.hstack([-np.eye(weights), np.ones((weights, 1))])  # t - w <= 0
+    program = LinearProgram(
+        objective=np.append(np.zeros(weights), 1.0),
+        constraints=np.vstack([np.pad(ccr.constraints, ((0, 0), (0, 1))), caps]),
+        equalities=1,
+        rhs=np.append(ccr.rhs, np.zeros(weights)),
+        lower_bounds=np.zeros(weights + 1),
+    )
+    return solve_lp(program).objective_value
+
+
 def assert_feasible_weights(dmus, target, score, epsilon):
     """The weights satisfy every row of the target's full program."""
     u = np.array(score.output_weights)
@@ -314,6 +329,27 @@ class TestCcrEfficiency:
         assert_feasible_weights(dmus, 1, score, largest)
         with pytest.raises(DeaError, match="no feasible weights"):
             ccr_efficiency(dmus, 1, epsilon=2 * largest)
+
+    @pytest.mark.parametrize("inputs", [1, 2])
+    def test_the_largest_epsilon_matches_the_program_with_cap_rows(self, inputs):
+        # sets of 1 to 29 DMUs whose inputs span five orders of magnitude, some
+        # with no output; every target of every set, 1 000 or more in all
+        targets = 0
+        for seed in range(70):
+            rng = np.random.default_rng([22, inputs, seed])
+            size = int(rng.integers(1, 30))
+            scale = 10.0 ** rng.integers(0, 5, size=inputs)
+            values = np.maximum(np.round(rng.integers(1, 2000, (size, inputs)) * scale / 100), 1)
+            outputs = rng.integers(0, 50000, (size, 1)) * (rng.random((size, 1)) < 0.9)
+            outputs[0, 0] = max(outputs[0, 0], 1)
+            dmus = DmuSet(tuple(f"d{index}" for index in range(size)), values, outputs)
+            for target in range(size):
+                largest = _largest_epsilon(dmus, target)
+                reference = capped_largest_epsilon(dmus, target)
+                assert largest == pytest.approx(reference, rel=1e-11, abs=0.0)
+                assert f"{largest:.4g}" == f"{reference:.4g}"
+            targets += size
+        assert targets >= 1000
 
     @pytest.mark.parametrize("epsilon", [1e304, 1e305, 1.7e308])
     def test_epsilon_past_the_float_range_is_reported(self, aggregates15, epsilon):
