@@ -11,7 +11,6 @@ from .analysis import (
 from .corpus import (
     CorpusError,
     DmuAggregate,
-    PaperRecord,
     ResearcherProfile,
     aggregate,
     parse_aggregates,
@@ -61,7 +60,6 @@ __all__ = [
     "LpSolution",
     "LpStatus",
     "MetricReport",
-    "PaperRecord",
     "PenaltyParams",
     "ResearcherProfile",
     "aggregate",

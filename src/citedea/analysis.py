@@ -67,6 +67,10 @@ def rank_correlation(ranks_a: Sequence[float], ranks_b: Sequence[float]) -> floa
     if count != len(ranks_b):
         raise AnalysisError(f"rank vectors must have equal lengths, got {count} and {len(ranks_b)}")
     vectors = np.array([ranks_a, ranks_b], dtype=float)
+    finite = np.isfinite(vectors)
+    if not finite.all():
+        bad = vectors[~finite][0]
+        raise AnalysisError(f"ranks must be finite, got {bad}; pass the ranks that rank() returns")
     if count < 2 or (vectors.min(axis=1) == vectors.max(axis=1)).any():
         raise AnalysisError("rank correlation needs two rank vectors with variance")
     if not (count * np.abs(vectors).max() ** 2 < 2**62 and (vectors == vectors.round()).all()):

@@ -199,12 +199,9 @@ def _cmd_report(options) -> str:
         data = {
             "researchers": _json_rows(headers, columns),
             "rankings": {
-                name: [
-                    {"id": researcher, "score": float(score), "rank": position}
-                    for researcher, score, position in zip(
-                        report.ids, report.columns[name], ranks
-                    )
-                ]
+                name: _json_rows(
+                    ("id", "score", "rank"), [report.ids, map(float, report.columns[name]), ranks]
+                )
                 for name, ranks in sorted(report.rankings.items())
             },
             "correlations": _json_rows(_CORRELATION_HEADERS, correlations),

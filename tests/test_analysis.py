@@ -97,6 +97,14 @@ class TestRankCorrelation:
         with pytest.raises(AnalysisError, match="variance"):
             rank_correlation(a, a)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_a_rank_that_is_not_finite_is_rejected(self, bad):
+        message = rf"^ranks must be finite, got {bad}; pass the ranks that rank\(\) returns$"
+        with pytest.raises(AnalysisError, match=message):
+            rank_correlation([1, bad, 3], [1, 2, 3])
+        with pytest.raises(AnalysisError, match=message):
+            rank_correlation([1, 2, 3], [1, bad, 3])
+
     def test_all_tied_vector_is_rejected(self):
         a = rank([5.0, 5.0])
         b = rank([1.0, 2.0])

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from citedea import (
     INDEX_NAMES,
     CorpusError,
-    PaperRecord,
     PenaltyParams,
     ResearcherProfile,
     build_report,
@@ -25,12 +24,9 @@ from citedea import (
 from citedea import indices
 
 citation_lists = st.lists(st.integers(min_value=0, max_value=20), max_size=12)
+# (citations, authors) pairs, one per paper
 paper_lists = st.lists(
-    st.builds(
-        PaperRecord,
-        citations=st.integers(min_value=0, max_value=20),
-        authors=st.integers(min_value=1, max_value=8),
-    ),
+    st.tuples(st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=8)),
     max_size=12,
 )
 
@@ -53,11 +49,12 @@ def oracle_g(citations):
 
 
 def profile_of(papers, years=1):
+    """A profile of the ``(citations, authors)`` pairs in ``papers``."""
     return ResearcherProfile(
         id="X",
         career_years=years,
-        citations=[paper.citations for paper in papers],
-        authors=[paper.authors for paper in papers],
+        citations=[cited for cited, _ in papers],
+        authors=[count for _, count in papers],
     )
 
 
@@ -68,7 +65,7 @@ def indices_of(papers, years=1, **options):
 
 def cited(citations):
     """Every index of one researcher whose papers each have one author."""
-    return indices_of([PaperRecord(count, 1) for count in citations])
+    return indices_of([(count, 1) for count in citations])
 
 
 class TestH:
@@ -158,61 +155,56 @@ class TestPermutationInvariance:
 
 class TestIndividualH:
     def test_reference_papers(self):
-        papers = (PaperRecord(10, 2), PaperRecord(8, 2), PaperRecord(2, 1))
+        papers = ((10, 2), (8, 2), (2, 1))
         assert indices_of(papers)["individual_h"] == pytest.approx(1.0)
 
     def test_all_uncited(self):
-        assert indices_of((PaperRecord(0, 3), PaperRecord(0, 1)))["individual_h"] == 0.0
+        assert indices_of(((0, 3), (0, 1)))["individual_h"] == 0.0
 
     def test_single_author_single_paper(self):
-        assert indices_of((PaperRecord(5, 1),))["individual_h"] == pytest.approx(1.0)
+        assert indices_of(((5, 1),))["individual_h"] == pytest.approx(1.0)
 
     def test_tied_core_keeps_input_order(self):
-        papers = (
-            PaperRecord(3, 1),
-            PaperRecord(3, 7),
-            PaperRecord(2, 2),
-            PaperRecord(3, 4),
-        )
+        papers = ((3, 1), (3, 7), (2, 2), (3, 4))
         # h = 3; the three 3-citation papers enter the core in input order
         assert indices_of(papers)["individual_h"] == pytest.approx(3 / 4)
         # h = 2 of three equally cited papers: the first two in input order
         # form the core, so moving the 9-author paper changes the answer
-        first_two_solo = [PaperRecord(2, 1), PaperRecord(2, 1), PaperRecord(2, 9)]
+        first_two_solo = [(2, 1), (2, 1), (2, 9)]
         assert indices_of(first_two_solo)["individual_h"] == 2.0
         assert indices_of(first_two_solo[::-1])["individual_h"] == 0.4
 
 
 class TestScientificImpact:
     def test_reference_papers(self):
-        assert indices_of((PaperRecord(20, 2), PaperRecord(10, 1)))["si"] == 20.0
+        assert indices_of(((20, 2), (10, 1)))["si"] == 20.0
 
     def test_empty(self):
         assert indices_of(())["si"] == 0.0
 
     def test_identity_ratio(self):
-        assert indices_of((PaperRecord(7, 7),))["si"] == pytest.approx(1.0)
+        assert indices_of(((7, 7),))["si"] == pytest.approx(1.0)
 
 
 class TestScientificImpactPenalized:
     def test_penalty_applies_above_b(self):
-        values = indices_of((PaperRecord(12, 4),), penalty=PenaltyParams(a=0.5, b=2))
+        values = indices_of(((12, 4),), penalty=PenaltyParams(a=0.5, b=2))
         assert values["si_penalized"] == pytest.approx(6.0)
 
     def test_at_most_b_authors_contribute_undivided(self):
-        values = indices_of((PaperRecord(12, 2),), penalty=PenaltyParams(a=0.5, b=2))
+        values = indices_of(((12, 2),), penalty=PenaltyParams(a=0.5, b=2))
         assert values["si_penalized"] == pytest.approx(12.0)
 
     @given(paper_lists)
     def test_zero_slope_gives_plain_citation_sum(self, papers):
         values = indices_of(papers, penalty=PenaltyParams(a=0.0, b=1))
-        assert values["si_penalized"] == pytest.approx(sum(p.citations for p in papers))
+        assert values["si_penalized"] == pytest.approx(sum(cited for cited, _ in papers))
 
     @given(paper_lists, st.floats(min_value=0, max_value=5, allow_nan=False))
     def test_large_b_gives_plain_citation_sum(self, papers, a):
-        big = max((p.authors for p in papers), default=1)
+        big = max((count for _, count in papers), default=1)
         values = indices_of(papers, penalty=PenaltyParams(a=a, b=big))
-        assert values["si_penalized"] == pytest.approx(sum(p.citations for p in papers))
+        assert values["si_penalized"] == pytest.approx(sum(cited for cited, _ in papers))
 
     def test_params_validation(self):
         with pytest.raises(ValueError, match=r"^a must be non-negative, got -0\.1$"):
@@ -227,7 +219,7 @@ class TestScientificImpactPenalized:
 
 class TestT:
     def test_reference_profile(self):
-        papers = (PaperRecord(20, 2), PaperRecord(10, 1))
+        papers = ((20, 2), (10, 1))
         assert indices_of(papers, years=4)["t"] == pytest.approx(5.0)
 
     def test_no_papers(self):
@@ -235,33 +227,33 @@ class TestT:
 
     @given(paper_lists, st.integers(min_value=1, max_value=40))
     def test_doubling_citations_doubles_t(self, papers, years):
-        doubled = [PaperRecord(p.citations * 2, p.authors) for p in papers]
+        doubled = [(cited * 2, count) for cited, count in papers]
         assert indices_of(doubled, years)["t"] == 2 * indices_of(papers, years)["t"]
 
 
 class TestTThresholded:
     def test_reference_profile(self):
-        papers = (PaperRecord(60, 2), PaperRecord(10, 1))
+        papers = ((60, 2), (10, 1))
         assert indices_of(papers, 3, c_star=50)["t_thresholded"] == pytest.approx(10.0)
 
     def test_zero_threshold_equals_t_exactly(self):
-        values = indices_of((PaperRecord(60, 2), PaperRecord(10, 1)), years=3)
+        values = indices_of(((60, 2), (10, 1)), years=3)
         assert values["t_thresholded"] == values["t"]
 
     def test_threshold_above_all_citations(self):
-        assert indices_of((PaperRecord(60, 2),), 3, c_star=61)["t_thresholded"] == 0.0
+        assert indices_of(((60, 2),), 3, c_star=61)["t_thresholded"] == 0.0
 
     def test_negative_threshold_is_rejected(self):
         message = r"^c_star must be a non-negative integer, got -1$"
         with pytest.raises(ValueError, match=message):
-            indices_of((PaperRecord(1, 1),), c_star=-1)
+            indices_of(((1, 1),), c_star=-1)
         with pytest.raises(ValueError, match=message):
             index_table([], c_star=-1)
 
     def test_bool_threshold_is_rejected(self):
         message = r"^c_star must be a non-negative integer, got False$"
         with pytest.raises(ValueError, match=message):
-            indices_of((PaperRecord(1, 1),), c_star=False)
+            indices_of(((1, 1),), c_star=False)
         with pytest.raises(ValueError, match=message):
             index_table([], c_star=False)
 
@@ -274,7 +266,7 @@ class TestTThresholded:
 class TestZeroCitedPaperNeutrality:
     @given(paper_lists, st.integers(min_value=1, max_value=40))
     def test_uncited_paper_changes_nothing_but_g(self, papers, years):
-        extended = indices_of(list(papers) + [PaperRecord(0, 1)], years)
+        extended = indices_of(list(papers) + [(0, 1)], years)
         values = indices_of(papers, years)
         assert extended["h"] == values["h"]
         assert extended["g"] >= values["g"]
@@ -286,7 +278,7 @@ class TestIndexMapping:
     """The index values compute_indices returns, by name."""
 
     def test_compute_indices_covers_every_name(self):
-        profile = profile_of((PaperRecord(10, 2), PaperRecord(8, 2)), years=2)
+        profile = profile_of(((10, 2), (8, 2)), years=2)
         values = compute_indices(profile, c_star=9, penalty=PenaltyParams(a=1.0, b=1))
         assert tuple(values) == INDEX_NAMES
         assert values["h"] == 2

@@ -254,7 +254,7 @@ def test_parsers_return_python_ints(prefix):
     for profile in parse_profiles(prefix + "a,5\n", prefix + "a,6,7\na,8,9\n"):
         values += [profile.career_years, *profile.citations, *profile.authors]
     for papers in parse_papers(prefix + "a,6,7\n").values():
-        values += [value for record in papers for value in (record.citations, record.authors)]
+        values += [value for paper in papers for value in paper]
     assert {type(value) for value in values} == {int}
     json.dumps(values)  # np.int64 is not JSON serializable
 

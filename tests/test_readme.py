@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import citedea
 from citedea.cli import build_parser, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -68,3 +69,15 @@ def test_readme_documents_every_command_and_flag():
     }
     assert flags  # so that an empty set cannot pass
     assert [flag for flag in sorted(flags) if not re.search(rf"{flag}(?![\w-])", README)] == []
+
+
+def test_readme_names_only_exported_types():
+    prose = re.sub(r"^```.*?^```$", "", README, flags=re.MULTILINE | re.DOTALL)
+    spans = re.findall(r"`([^`]+)`", prose)  # inline code, which may wrap a line
+    names = {
+        name
+        for span in spans
+        for name in re.findall(r"\b[A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)+\b", span)
+    }
+    assert "ResearcherProfile" in names  # so that a pattern that finds nothing cannot pass
+    assert sorted(names - set(citedea.__all__)) == []
